@@ -160,7 +160,11 @@ def extract_from_state(state: ModelState, config: EmbeddingConfig) -> BitVec:
 
 
 def hinge_loss_and_grad(W_gamma: np.ndarray, E: np.ndarray, h: BitVec, mu_hinge: float):
-    """Sum-form hinge against +-1 targets and its gradient in W_gamma."""
+    """Sum-form hinge against +-1 targets and its gradient in W_gamma.
+
+    The gradient masks the targets rather than gathering the active
+    columns of E, so each call streams E twice and copies none of it.
+    """
     if W_gamma.size != E.shape[0] or E.shape[1] != len(h):
         raise ValueError("hinge shapes do not conform")
     t = 2.0 * h.bits.astype(np.float64) - 1.0
@@ -168,7 +172,7 @@ def hinge_loss_and_grad(W_gamma: np.ndarray, E: np.ndarray, h: BitVec, mu_hinge:
     violation = mu_hinge - t * p
     active = violation > 0
     loss = float(violation[active].sum())
-    grad = -(E[:, active] @ t[active])
+    grad = -(E @ np.where(active, t, 0.0))
     return loss, grad
 
 

@@ -296,6 +296,9 @@ class VerifierSession:
             if _int_field(msg, "round", lo=0) != self.round:
                 raise ProtocolError("wrong round index")
             self._msg1 = decode_msg1(msg)
+            if self._msg1.C0.l_com != self.l_com:
+                raise ProtocolError(f"l_com {self._msg1.C0.l_com} differs from "
+                                    f"the verifier's l_com {self.l_com}")
             self._challenge = verifier_challenge(self.rng)
             self.state = "RESPONSE"
             return [self._send("CHALLENGE", {"round": self.round,
@@ -463,19 +466,38 @@ class ProverSession:
         return []
 
 
+def _write_lines(wr, lines) -> None:
+    for line in lines:
+        wr.write(line + "\n")
+    wr.flush()
+
+
+def _pump(session, rd, wr) -> None:
+    """Feed peer lines to a session and send its replies until it settles.
+
+    A read stops after MAX_LINE_BYTES + 1 characters (bytes, on the ASCII
+    wire), so a peer that never sends a newline gets its session rejected
+    instead of growing memory without bound.  The readers decode with
+    errors="replace": bad UTF-8 then fails as bad JSON, not as a crash.
+    """
+    while not session.done:
+        line = rd.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            raise TransportError("connection closed mid-session")
+        if len(line) > MAX_LINE_BYTES:
+            replies = session._fail("line too long")
+        else:
+            replies = session.feed(line)
+        _write_lines(wr, replies)
+
+
 def _serve_session(conn, make_session, transcript_path=None) -> SessionSummary:
     session = None
     try:
-        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as rd, \
+        with conn, conn.makefile("r", encoding="utf-8", errors="replace", newline="\n") as rd, \
                 conn.makefile("w", encoding="utf-8", newline="\n") as wr:
             session = make_session()
-            while not session.done:
-                line = rd.readline()
-                if not line:
-                    raise TransportError("connection closed mid-session")
-                for reply in session.feed(line):
-                    wr.write(reply + "\n")
-                wr.flush()
+            _pump(session, rd, wr)
     except (OSError, TransportError) as exc:
         if session is not None and session.done:
             pass  # result already settled; the tail write just failed
@@ -541,18 +563,10 @@ def run_prover_endpoint(host: str, port: int, cred: Credential,
     session = ProverSession(cred, agg, params, client, d, rng, l_com)
     try:
         with socket.create_connection((host, port), timeout=timeout) as conn, \
-                conn.makefile("r", encoding="utf-8", newline="\n") as rd, \
+                conn.makefile("r", encoding="utf-8", errors="replace", newline="\n") as rd, \
                 conn.makefile("w", encoding="utf-8", newline="\n") as wr:
-            for line in session.start():
-                wr.write(line + "\n")
-            wr.flush()
-            while not session.done:
-                line = rd.readline()
-                if not line:
-                    raise TransportError("connection closed mid-session")
-                for reply in session.feed(line):
-                    wr.write(reply + "\n")
-                wr.flush()
+            _write_lines(wr, session.start())
+            _pump(session, rd, wr)
     except OSError as exc:
         raise TransportError(str(exc)) from None
     finally:

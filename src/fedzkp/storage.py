@@ -24,7 +24,7 @@ import numpy as np
 
 from .gf2 import BitMatrix, BitVec
 from .lpn import Credential, PublicInput, XlpnParams
-from .model import EmbeddingConfig, ModelState, make_embedding
+from .model import EmbeddingConfig, ModelState, _theta_layout, make_embedding
 from .watermark import AggregatedInput, HashWatermark
 
 MAGIC = b"FEDZKP1"
@@ -172,6 +172,8 @@ def load_checkpoint(path: PathLike) -> ModelState:
     d_in, omega, classes, t_len, g_len = struct.unpack("<IIIQQ", raw)
     if g_len != omega:
         raise ValueError("scale vector length disagrees with declared width")
+    if t_len != sum(_theta_layout(d_in, omega, classes)[0]):
+        raise ValueError("main weight length disagrees with the declared layout")
     t_raw, view = _expect(view, 8 * t_len, "main weights")
     g_raw, view = _expect(view, 8 * g_len, "scale vector")
     _done(view, path)

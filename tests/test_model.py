@@ -1,4 +1,6 @@
 """Model, embedding, and federation tests at small widths."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,54 @@ class TestHingeGradient:
         loss, grad = hinge_loss_and_grad(gamma, E, h, 0.5)
         assert loss == 0.0
         assert not grad.any()
+
+    @staticmethod
+    def gather_reference(W_gamma, E, h, mu):
+        # the earlier formula: gather the active columns of E, then contract
+        t = 2.0 * h.bits.astype(np.float64) - 1.0
+        violation = mu - t * (W_gamma @ E)
+        active = violation > 0
+        return float(violation[active].sum()), -(E[:, active] @ t[active])
+
+    @pytest.mark.parametrize("case", ["mixed", "all_active", "none_active", "subset_P"])
+    def test_matches_column_gather(self, case):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            omega = int(rng.integers(8, 200))
+            n = int(rng.integers(2, omega + 1))  # n <= omega keeps E.T full rank
+            h = BitVec.random(n, rng)
+            mu = float(rng.uniform(0.05, 2.0))
+            if case == "subset_P":
+                P = np.sort(rng.choice(omega, size=int(rng.integers(1, omega)), replace=False))
+                config = make_embedding(omega, n, rng, mu_hinge=mu, P=P)
+                gamma, E = rng.standard_normal(omega)[config.P], config.E
+            else:
+                E = rng.standard_normal((omega, n))
+                gamma = rng.standard_normal(omega)
+            if case == "all_active":
+                mu = 1e6
+            elif case == "none_active":
+                # every projection lands at 10 on its target's side
+                gamma = np.linalg.lstsq(E.T, 10.0 * (2.0 * h.bits - 1.0), rcond=None)[0]
+            loss, grad = hinge_loss_and_grad(gamma, E, h, mu)
+            ref_loss, ref_grad = self.gather_reference(gamma, E, h, mu)
+            assert loss == ref_loss
+            assert np.allclose(grad, ref_grad, rtol=0.0, atol=1e-12)
+            if case == "none_active":
+                assert loss == 0.0 and not grad.any()
+
+    def test_copies_no_part_of_E(self):
+        rng = np.random.default_rng(7)
+        E = rng.standard_normal((4096, 1024))
+        h = BitVec.random(1024, rng)
+        gamma = 0.02 * rng.standard_normal(4096)  # about half the bits active
+        tracemalloc.start()
+        try:
+            hinge_loss_and_grad(gamma, E, h, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < E.nbytes // 16
 
     def test_shape_validation(self):
         rng = np.random.default_rng(5)

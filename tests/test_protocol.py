@@ -1,20 +1,27 @@
 """Wire protocol tests: sans-io state machines, TCP endpoints, replay."""
 import json
+import socket
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fedzkp import protocol
+from fedzkp.commitments import Commitment
 from fedzkp.lpn import XlpnParams, gen_instance
 from fedzkp.protocol import (
     ProverSession,
     TransportError,
     VerifierSession,
+    encode_aggregate,
+    encode_msg1,
+    encode_response,
     run_prover_endpoint,
     run_verifier_endpoint,
 )
-from fedzkp.watermark import aggregate, hash_watermark
+from fedzkp.sigma import Challenge, RoundMessage1, simulate_round
+from fedzkp.watermark import aggregate, hash_watermark, select_component
 
 PARAMS = XlpnParams(m=48, l=32, tau=Fraction(1, 4))
 N_BITS = 64
@@ -227,6 +234,69 @@ class TestProverRejectsBadWire:
             ProverSession(self.pairs[0][1], self.agg, PARAMS, 3, d=4, rng=self.rng)
 
 
+class OneBitCommitForger:
+    """Credential-less prover that commits with l_com=1 and equivocates.
+
+    A one-bit commitment binds nothing.  The forger commits to three zero
+    bits; once the challenge is known it reruns the honest-verifier
+    simulator until the simulated commitments are those zero bits too
+    (about eight tries), and answers with the simulated opening.
+    """
+
+    ZEROS = RoundMessage1(*[Commitment(b"\x00", 1)] * 3)
+
+    def __init__(self, agg, client, d, rng):
+        self.agg, self.client, self.d, self.rng = agg, client, d, rng
+        self.pub = select_component(agg, client)
+        self.seq = 0
+        self.round = 0
+
+    def _line(self, mtype, **body):
+        self.seq += 1
+        return json.dumps({"type": mtype, "session": "forger", "seq": self.seq - 1, **body})
+
+    def _commit(self):
+        return self._line("COMMIT", round=self.round, **encode_msg1(self.ZEROS))
+
+    def _respond(self, c):
+        while True:
+            tr = simulate_round(self.pub, Challenge(c), PARAMS.w, self.rng, l_com=1)
+            if tr.msg1 == self.ZEROS:
+                return self._line("RESPONSE", round=self.round, **encode_response(tr.response))
+
+    def start(self):
+        return [self._line("HELLO", client=self.client, rounds=self.d),
+                self._line("AGG_INPUT", **encode_aggregate(self.agg, PARAMS))]
+
+    def feed(self, line):
+        msg = json.loads(line)
+        if msg["type"] == "VALIDITY_RESULT" and msg["accepted"]:
+            return [self._commit()]
+        if msg["type"] == "CHALLENGE":
+            return [self._respond(msg["c"])]
+        if msg["type"] == "ROUND_RESULT" and msg["accepted"]:
+            self.round += 1
+            return [self._commit()] if self.round < self.d else []
+        return []
+
+
+class TestWireForgeries:
+    def test_commit_with_a_foreign_l_com_is_rejected(self):
+        rng, pairs, agg, wm = make_world(seed=16)
+        verifier = VerifierSession(wm.h, ERR_N, d=40, rng=np.random.default_rng(17),
+                                   l_com=L_COM)
+        drive(OneBitCommitForger(agg, 1, 40, rng), verifier)
+        assert verifier.done and not verifier.accepted
+        assert "l_com" in verifier.reason and verifier.round == 0
+
+    def test_one_bit_forger_passes_when_l_com_is_one(self):
+        # control: the forgery is real, so the l_com check is what stops it
+        rng, pairs, agg, wm = make_world(seed=16)
+        verifier = VerifierSession(wm.h, ERR_N, d=40, rng=np.random.default_rng(17), l_com=1)
+        drive(OneBitCommitForger(agg, 1, 40, rng), verifier)
+        assert verifier.accepted and verifier.round == 40
+
+
 class TestReplay:
     def test_recorded_session_fails_against_fresh_challenges(self):
         # a transcript answers one challenge sequence; new randomness asks
@@ -304,10 +374,80 @@ class TestTcpEndpoints:
         assert ready.wait(10.0)
 
         # dial in, say hello, then hang up mid-session
-        import socket
         with socket.create_connection(("127.0.0.1", port_box[0]), timeout=10.0) as conn:
             conn.sendall((json.dumps({"type": "HELLO", "session": "x", "seq": 0,
                                       "client": 0, "rounds": 6}) + "\n").encode())
         t.join(30.0)
         assert len(summaries) == 1
         assert summaries[0].aborted and not summaries[0].accepted
+
+    def test_undecodable_bytes_reject_instead_of_crashing(self):
+        rng, pairs, agg, wm = make_world(seed=21)
+        port_box = []
+        ready = threading.Event()
+        summaries = []
+
+        def serve():
+            summaries.extend(run_verifier_endpoint(
+                "127.0.0.1", 0, wm.h, ERR_N, 6, np.random.default_rng(22),
+                l_com=L_COM, max_sessions=1, timeout=30.0, ready=ready,
+                port_box=port_box))
+
+        t = threading.Thread(target=serve, daemon=True)
+        t.start()
+        assert ready.wait(10.0)
+        with socket.create_connection(("127.0.0.1", port_box[0]), timeout=10.0) as conn:
+            conn.sendall(b"\xff\xfe not utf-8\n")
+            t.join(10.0)
+        assert not t.is_alive() and len(summaries) == 1
+        assert not summaries[0].accepted and not summaries[0].aborted
+        assert "bad json" in summaries[0].reason
+
+
+class TestBoundedReads:
+    """A line without a newline is cut at MAX_LINE_BYTES and rejects the session."""
+
+    def test_verifier_rejects_an_endless_line(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 256)
+        rng, pairs, agg, wm = make_world(seed=18)
+        port_box = []
+        ready = threading.Event()
+        summaries = []
+
+        def serve():
+            summaries.extend(run_verifier_endpoint(
+                "127.0.0.1", 0, wm.h, ERR_N, 6, np.random.default_rng(19),
+                l_com=L_COM, max_sessions=1, timeout=30.0, ready=ready,
+                port_box=port_box))
+
+        t = threading.Thread(target=serve, daemon=True)
+        t.start()
+        assert ready.wait(10.0)
+        with socket.create_connection(("127.0.0.1", port_box[0]), timeout=10.0) as conn:
+            conn.sendall(b"x" * 1024)
+            t.join(10.0)  # the connection stays open: the verdict may not wait on it
+            assert not t.is_alive()
+        assert len(summaries) == 1
+        assert not summaries[0].accepted and not summaries[0].aborted
+        assert "too long" in summaries[0].reason
+
+    def test_prover_rejects_an_endless_line(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 256)
+        rng, pairs, agg, wm = make_world(seed=20)
+        replies = []
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            def fake_verifier():
+                conn, _ = srv.accept()
+                with conn, conn.makefile("rb") as rd:
+                    rd.readline(), rd.readline()  # HELLO, AGG_INPUT
+                    conn.sendall(b"x" * 1024)
+                    replies.append(rd.readline())
+
+            t = threading.Thread(target=fake_verifier, daemon=True)
+            t.start()
+            accepted = run_prover_endpoint(
+                "127.0.0.1", srv.getsockname()[1], pairs[0][1], agg, PARAMS, 0, 4,
+                rng, l_com=L_COM, timeout=10.0)
+            t.join(10.0)
+        assert accepted is False and not t.is_alive()
+        assert json.loads(replies[0])["message"] == "line too long"

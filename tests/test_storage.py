@@ -6,7 +6,7 @@ import pytest
 
 from fedzkp.gf2 import BitVec
 from fedzkp.lpn import XlpnParams, gen_instance, validate_instance
-from fedzkp.model import RoundRecord, DetectionReport, init_model, make_embedding
+from fedzkp.model import ModelState, RoundRecord, DetectionReport, init_model, make_embedding
 from fedzkp.storage import (
     MAGIC,
     load_aggregate,
@@ -163,6 +163,17 @@ class TestCheckpoints:
         data[8 + 4] ^= 0x01  # declared width field
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_rejects_weight_length_off_the_layout(self, tmp_path, rng):
+        # header and payload agree with each other, but not with the layout
+        # that d_in, omega and classes imply
+        state = init_model(64, rng, d_in=8, classes=5)
+        short = ModelState(state.d_in, state.omega, state.classes,
+                           state.theta[:-1].copy(), state.W_gamma)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, short)
+        with pytest.raises(ValueError, match="layout"):
             load_checkpoint(path)
 
     def test_loaded_arrays_are_writable(self, tmp_path, rng):
