@@ -30,7 +30,6 @@ __all__ = [
     "in_image",
     "hamming_distance",
     "sample_fixed_weight",
-    "apply_permutation",
 ]
 
 
@@ -354,8 +353,3 @@ def sample_fixed_weight(m: int, w: int, rng: np.random.Generator) -> BitVec:
     if w:
         out[rng.choice(m, size=w, replace=False)] = 1
     return BitVec._wrap(out)
-
-
-def apply_permutation(pi: Permutation, a: BitVec) -> BitVec:
-    """out[pi[i]] = a[i]; preserves Hamming weight."""
-    return pi.apply(a)

@@ -19,6 +19,16 @@ Both session classes are sans-io: feed() maps one incoming line to a
 list of outgoing lines, so tests can drive them without sockets and a
 transcript is just the lines in order.  The TCP endpoints at the bottom
 add the plumbing.
+
+A verifier process keeps the last aggregate that passed validity: one
+entry of K*m*l bytes, with its decoded slots and its hash, never admitted
+on a failed check.  It is keyed on the exact wire content: the watermark
+length, the scalar fields after their type checks, and the hex parts
+compared verbatim.  A repeat of that AGG_INPUT skips the decode and the
+hash and reuses the decoded slots, so each slot's column elimination
+runs once per process.  The distance against the session's own
+watermark, the client index and every round are still checked per
+session.
 """
 from __future__ import annotations
 
@@ -49,6 +59,11 @@ VERIFIER_TYPES = ("VALIDITY_RESULT", "CHALLENGE", "ROUND_RESULT", "SESSION_RESUL
 ALL_TYPES = PROVER_TYPES + VERIFIER_TYPES + ("ERROR",)
 
 MAX_LINE_BYTES = 64 * 1024 * 1024
+
+# (key, raw parts, AggregatedInput, XlpnParams, HashWatermark) of the last
+# aggregate that passed validity, or None.  Swapped as one tuple, so the
+# verifier threads never see half an entry.
+_last_valid: Optional[tuple] = None
 
 
 class ProtocolError(Exception):
@@ -261,8 +276,7 @@ class VerifierSession:
             raise ProtocolError("session id changed mid-stream")
 
         mtype = msg["type"]
-        if mtype != {"HELLO": "HELLO", "AGG_INPUT": "AGG_INPUT",
-                     "COMMIT": "COMMIT", "RESPONSE": "RESPONSE"}.get(self.state):
+        if mtype != self.state:  # the states are named after the message they await
             raise ProtocolError(f"unexpected {mtype} in state {self.state}")
 
         if mtype == "HELLO":
@@ -274,12 +288,24 @@ class VerifierSession:
             return []
 
         if mtype == "AGG_INPUT":
-            agg, params = decode_aggregate(msg)
+            global _last_valid
+            # type-checked first: True == 1 and 48.0 == 48 must not match a key
+            key = (len(self.h), _int_field(msg, "m", lo=1), _int_field(msg, "l", lo=1),
+                   _int_field(msg, "tau_num", lo=0), _int_field(msg, "tau_den", lo=1))
+            memo = _last_valid
+            hit = memo is not None and memo[0] == key and memo[1] == msg.get("parts")
+            if hit:
+                agg, params, fresh = memo[2:]
+            else:
+                agg, params = decode_aggregate(msg)
             if self.client >= agg.K:
                 raise ProtocolError("client index outside the aggregate")
-            fresh = hash_watermark(agg, len(self.h))
+            if not hit:
+                fresh = hash_watermark(agg, len(self.h))
             dist = hamming_distance(self.h, fresh.h)
             ok = dist < self.err_n
+            if ok and not hit:
+                _last_valid = (key, msg["parts"], agg, params, fresh)
             out = [self._send("VALIDITY_RESULT", {"accepted": ok, "distance": dist})]
             if not ok:
                 self.state = "DONE"

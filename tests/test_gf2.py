@@ -6,7 +6,6 @@ from fedzkp.gf2 import (
     BitMatrix,
     BitVec,
     Permutation,
-    apply_permutation,
     hamming_distance,
     in_image,
     mat_vec_mul,
@@ -211,7 +210,6 @@ def test_permutation_apply_and_inverse():
     # out[pi[i]] = a[i]: position 0 -> 2, 1 -> 0, 2 -> 1
     assert pi.apply(a) == BitVec([0, 1, 1])
     assert pi.inverse().apply(pi.apply(a)) == a
-    assert apply_permutation(pi, a) == pi.apply(a)
 
 
 def test_permutation_validation():

@@ -1,6 +1,7 @@
 """Wire protocol tests: sans-io state machines, TCP endpoints, replay."""
 import json
 import socket
+import sys
 import threading
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from fedzkp import protocol
 from fedzkp.commitments import Commitment
+from fedzkp.gf2 import BitMatrix
 from fedzkp.lpn import XlpnParams, gen_instance
 from fedzkp.protocol import (
     ProverSession,
@@ -451,3 +453,142 @@ class TestBoundedReads:
             t.join(10.0)
         assert accepted is False and not t.is_alive()
         assert json.loads(replies[0])["message"] == "line too long"
+
+
+class TestAggregateMemo:
+    """A verifier process decodes, hashes and eliminates one valid aggregate once."""
+
+    @pytest.fixture(autouse=True)
+    def spies(self, monkeypatch):
+        # built before the spies: key generation eliminates each A for its rank
+        self.rng, self.pairs, self.agg, self.wm = make_world(seed=23)
+        monkeypatch.setattr(protocol, "_last_valid", None)
+        self.calls = {"decode": 0, "hash": 0, "basis": 0}
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                self.calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        def basis(matrix):
+            if matrix._basis is None:
+                self.calls["basis"] += 1
+            return build(matrix)
+
+        build = BitMatrix._column_basis
+        monkeypatch.setattr(protocol, "decode_aggregate",
+                            counted("decode", protocol.decode_aggregate))
+        monkeypatch.setattr(protocol, "hash_watermark",
+                            counted("hash", protocol.hash_watermark))
+        monkeypatch.setattr(BitMatrix, "_column_basis", basis)
+
+    def session(self, client=1, d=8, seed=24):
+        prover = ProverSession(self.pairs[client][1], self.agg, PARAMS, client, d=d,
+                               rng=np.random.default_rng(seed), l_com=L_COM)
+        verifier = VerifierSession(self.wm.h, ERR_N, d=d,
+                                   rng=np.random.default_rng(seed + 1), l_com=L_COM)
+        return drive(prover, verifier)[1]
+
+    def feed_aggregate(self, doc):
+        v = VerifierSession(self.wm.h, ERR_N, d=4, rng=self.rng, l_com=L_COM)
+        v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": 0,
+                           "client": 0, "rounds": 4}))
+        out = v.feed(json.dumps({"type": "AGG_INPUT", "session": "s", "seq": 1, **doc}))
+        return v, [json.loads(line) for line in out]
+
+    def test_two_sessions_decode_hash_and_eliminate_once(self):
+        assert self.session().accepted and self.session(seed=34).accepted
+        assert self.calls == {"decode": 1, "hash": 1, "basis": 1}
+
+    @pytest.mark.parametrize("field, value", [("tau_num", True), ("m", 48.0)])
+    def test_a_loosely_typed_scalar_is_no_hit(self, field, value):
+        assert self.session().accepted
+        entry = protocol._last_valid
+        v, out = self.feed_aggregate({**encode_aggregate(self.agg, PARAMS), field: value})
+        assert v.done and not v.accepted
+        assert out[0]["type"] == "ERROR" and field in out[0]["message"]
+        assert protocol._last_valid is entry
+
+    def test_bad_hex_is_rejected_with_a_warm_memo(self):
+        assert self.session().accepted
+        doc = encode_aggregate(self.agg, PARAMS)
+        doc["parts"][2]["y"] = "zz" + doc["parts"][2]["y"][2:]
+        v, out = self.feed_aggregate(doc)
+        assert v.done and out[0]["type"] == "ERROR" and "hex" in out[0]["message"]
+
+    def test_an_altered_aggregate_fails_and_leaves_the_entry(self):
+        assert self.session().accepted
+        entry = protocol._last_valid
+        doc = encode_aggregate(self.agg, PARAMS)
+        a = doc["parts"][0]["A"]
+        doc["parts"][0]["A"] = ("1" if a[0] == "0" else "0") + a[1:]
+        v, out = self.feed_aggregate(doc)
+        assert out[0]["type"] == "VALIDITY_RESULT" and not out[0]["accepted"]
+        assert v.done and not v.accepted
+        assert protocol._last_valid is entry
+        assert self.session(seed=44).accepted
+        assert self.calls["decode"] == 2 and self.calls["hash"] == 2
+
+    def test_cold_and_warm_runs_agree(self):
+        cold = [self.session(client=c, seed=50 + c) for c in range(3)]
+        warm = [self.session(client=c, seed=50 + c) for c in range(3)]
+        assert self.calls["decode"] == 1
+        for a, b in zip(cold, warm):
+            assert a.transcript == b.transcript
+            assert a.summary() == b.summary() and a.accepted
+
+    def test_threads_share_the_entry_without_a_wrong_verdict(self):
+        genuine = encode_aggregate(self.agg, PARAMS)
+        altered = json.loads(json.dumps(genuine))
+        altered["parts"][1]["y"] = ("1" if altered["parts"][1]["y"][0] == "0" else "0") \
+            + altered["parts"][1]["y"][1:]
+        errors = []
+
+        def worker(i):
+            try:
+                for k in range(6):
+                    if (i + k) % 2:
+                        v, out = self.feed_aggregate(altered)
+                        assert not out[0]["accepted"] and v.done
+                    else:
+                        assert self.session(client=k % 3, d=4, seed=100 * i + k).accepted
+            except AssertionError as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert protocol._last_valid[1] == genuine["parts"]
+
+    def test_two_sessions_through_one_endpoint(self):
+        port_box = []
+        ready = threading.Event()
+        summaries = []
+
+        def serve():
+            summaries.extend(run_verifier_endpoint(
+                "127.0.0.1", 0, self.wm.h, ERR_N, 6, np.random.default_rng(25),
+                l_com=L_COM, max_sessions=2, timeout=30.0, ready=ready,
+                port_box=port_box))
+
+        t = threading.Thread(target=serve, daemon=True)
+        t.start()
+        assert ready.wait(10.0)
+        verdicts = [run_prover_endpoint("127.0.0.1", port_box[0], self.pairs[c][1],
+                                        self.agg, PARAMS, c, 6,
+                                        np.random.default_rng(26 + c), l_com=L_COM)
+                    for c in (0, 2)]
+        t.join(30.0)
+        assert verdicts == [True, True] and not t.is_alive()
+        assert [s.accepted for s in summaries] == [True, True]
+        assert self.calls["decode"] == 1 and self.calls["hash"] == 1
