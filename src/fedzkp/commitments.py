@@ -39,25 +39,19 @@ def _digest(d: bytes, m: bytes, l_com: int) -> bytes:
     return raw
 
 
-def commit(m: bytes, rng: np.random.Generator, l_com: int = DEFAULT_COMMIT_BITS,
-           d: bytes = None) -> tuple[Commitment, Opening]:
-    """Commit to message bytes; returns the public commitment and the private opening.
-
-    Callers producing several commitments back to back may pre-draw the
-    opening randomness in one batch and pass each 32-byte slice as ``d``.
-    """
-    if l_com <= 0:
-        raise ValueError("l_com must be positive")
-    if d is None:
-        d = rng.bytes(OPENING_BYTES)
-    elif len(d) != OPENING_BYTES:
-        raise ValueError(f"opening randomness must be {OPENING_BYTES} bytes")
-    return Commitment(_digest(d, m, l_com), l_com), Opening(d, m)
+def commit(m: bytes, rng: np.random.Generator,
+           l_com: int = DEFAULT_COMMIT_BITS) -> tuple[Commitment, Opening]:
+    """Commit to message bytes; returns the public commitment and the private opening."""
+    return commit_batch([m], rng, l_com)[0]
 
 
 def commit_batch(messages, rng: np.random.Generator,
                  l_com: int = DEFAULT_COMMIT_BITS) -> list:
-    """Commit to several messages with one randomness draw for the lot."""
+    """Commit to several messages with one randomness draw for the lot.
+
+    The openings are consecutive 32-byte slices of that draw, so a batch
+    gives the same commitments as one commit() per message in order.
+    """
     if l_com <= 0:
         raise ValueError("l_com must be positive")
     d_all = rng.bytes(OPENING_BYTES * len(messages))

@@ -11,14 +11,18 @@ parenthesized messages flow verifier-to-prover, the rest prover-to-
 verifier.  Every message carries the session id and a per-sender
 sequence number that must strictly increase; round-scoped messages also
 carry the round index.  Anything malformed or out of order draws an
-ERROR reply and closes the session as rejected.  A torn connection is
+ERROR reply and closes the session as rejected; a peer's ERROR closes it
+as rejected without a reply.  A settled verdict is final: a line fed
+after it draws an ERROR reply and changes nothing.  A torn connection is
 an abort, which is deliberately distinct from a reject: it says nothing
 about the credential.
 
-Both session classes are sans-io: feed() maps one incoming line to a
-list of outgoing lines, so tests can drive them without sockets and a
-transcript is just the lines in order.  The TCP endpoints at the bottom
-add the plumbing.
+Both roles are sans-io subclasses of one skeleton, _Session: feed() maps
+one incoming line to a list of outgoing lines, so tests can drive them
+without sockets and a transcript is just the lines in order.  The
+skeleton owns the seq, session-id and ERROR handling and the verdict;
+each state is named after the message it awaits, and a role adds only
+its _step.  Both TCP endpoints run a session through one loop, _run.
 
 A verifier process keeps the last aggregate that passed validity: one
 entry of K*m*l bytes, with its decoded slots and its hash, never admitted
@@ -101,8 +105,7 @@ def _decode(line: str) -> dict:
         raise ProtocolError(f"unknown message type {msg.get('type')!r}")
     if not isinstance(msg.get("session"), str):
         raise ProtocolError("missing session id")
-    if not isinstance(msg.get("seq"), int):
-        raise ProtocolError("missing sequence number")
+    _int_field(msg, "seq")  # bool is an int subclass: "seq": true must not read as 1
     return msg
 
 
@@ -201,39 +204,36 @@ def decode_aggregate(body: dict) -> tuple:
     return agg, params
 
 
-class VerifierSession:
-    """Sans-io verifier side of one proof session.
+class _Session:
+    """Plumbing both roles share: seq and session-id checks, ERROR, verdict.
 
-    Holds the watermark extracted from the local model and the security
-    parameters the verifier insists on; everything else arrives over the
-    wire.  feed() never raises on peer input: bad lines turn into an
-    ERROR reply and a rejected session.
+    Each state is named after the message it awaits ("START" and "DONE"
+    await none), so feed() checks the message type against the state and
+    hands the message to the subclass's _step.  `peer` names the other
+    role in the reason a peer ERROR leaves.  feed() never raises on
+    peer input: bad lines turn into an ERROR reply and a rejected session.
+    A settled verdict is final: later lines still draw an ERROR reply but
+    leave `accepted` and `reason` as they were.
     """
 
-    def __init__(self, h_extracted: BitVec, err_n: int, d: int,
-                 rng: np.random.Generator, l_com: int = DEFAULT_COMMIT_BITS):
+    peer: str
+
+    def __init__(self, d: int, rng: np.random.Generator, l_com: int, state: str,
+                 session_id: Optional[str] = None, client: Optional[int] = None):
         if d < 1:
             raise ValueError("need at least one round")
-        if not 0 <= err_n <= len(h_extracted):
-            raise ValueError("near-collision threshold out of range")
-        self.h = h_extracted
-        self.err_n = err_n
         self.d = d
         self.rng = rng
         self.l_com = l_com
-        self.state = "HELLO"
-        self.session_id: Optional[str] = None
-        self.client: Optional[int] = None
+        self.session_id = session_id
+        self.state = state
+        self.client = client
         self.round = 0
-        self.reason = ""
         self.accepted = False
+        self.reason = ""
         self.transcript: list = []
         self._seq_out = 0
         self._seq_in = -1
-        self._pub: Optional[PublicInput] = None
-        self._w: Optional[int] = None
-        self._msg1: Optional[RoundMessage1] = None
-        self._challenge: Optional[Challenge] = None
 
     @property
     def done(self) -> bool:
@@ -247,38 +247,73 @@ class VerifierSession:
         self.transcript.append(line)
         return line
 
-    def _fail(self, reason: str) -> list:
+    def _settle(self, accepted: bool, reason: str) -> None:
         self.state = "DONE"
-        self.accepted = False
+        self.accepted = accepted
         self.reason = reason
+
+    def _fail(self, reason: str) -> list:
+        if not self.done:
+            self._settle(False, reason)
         return [self._send("ERROR", {"message": reason})]
+
+    def _check_round(self, msg: dict) -> None:
+        if _int_field(msg, "round", lo=0) != self.round:
+            raise ProtocolError("wrong round index")
 
     def feed(self, line: str) -> list:
         self.transcript.append(line.rstrip("\n"))
         try:
             msg = _decode(line)
-        except ProtocolError as exc:
-            return self._fail(str(exc))
-        try:
+            if self.done:
+                raise ProtocolError("session already closed")
+            if msg["seq"] <= self._seq_in:
+                raise ProtocolError("sequence number did not increase")
+            self._seq_in = msg["seq"]
+            if self.session_id is None:
+                self.session_id = msg["session"]
+            elif msg["session"] != self.session_id:
+                raise ProtocolError("session id changed mid-stream")
+            mtype = msg["type"]
+            if mtype == "ERROR":
+                self._settle(False, f"{self.peer} error: {msg.get('message', '')}")
+                return []
+            if mtype != self.state:
+                raise ProtocolError(f"unexpected {mtype} in state {self.state}")
             return self._step(msg)
         except ProtocolError as exc:
             return self._fail(str(exc))
 
+    def summary(self) -> SessionSummary:
+        return SessionSummary(session_id=self.session_id or "?", client=self.client,
+                              accepted=self.accepted, aborted=False,
+                              reason=self.reason, rounds_passed=self.round)
+
+
+class VerifierSession(_Session):
+    """Sans-io verifier side of one proof session.
+
+    Holds the watermark extracted from the local model and the security
+    parameters the verifier insists on; everything else arrives over the
+    wire.
+    """
+
+    peer = "prover"
+
+    def __init__(self, h_extracted: BitVec, err_n: int, d: int,
+                 rng: np.random.Generator, l_com: int = DEFAULT_COMMIT_BITS):
+        super().__init__(d, rng, l_com, "HELLO")
+        if not 0 <= err_n <= len(h_extracted):
+            raise ValueError("near-collision threshold out of range")
+        self.h = h_extracted
+        self.err_n = err_n
+        self._pub: Optional[PublicInput] = None
+        self._w: Optional[int] = None
+        self._msg1: Optional[RoundMessage1] = None
+        self._challenge: Optional[Challenge] = None
+
     def _step(self, msg: dict) -> list:
-        if self.done:
-            raise ProtocolError("session already closed")
-        if msg["seq"] <= self._seq_in:
-            raise ProtocolError("sequence number did not increase")
-        self._seq_in = msg["seq"]
-        if self.session_id is None:
-            self.session_id = msg["session"]
-        elif msg["session"] != self.session_id:
-            raise ProtocolError("session id changed mid-stream")
-
         mtype = msg["type"]
-        if mtype != self.state:  # the states are named after the message they await
-            raise ProtocolError(f"unexpected {mtype} in state {self.state}")
-
         if mtype == "HELLO":
             self.client = _int_field(msg, "client", lo=0)
             rounds = _int_field(msg, "rounds", lo=1)
@@ -308,8 +343,7 @@ class VerifierSession:
                 _last_valid = (key, msg["parts"], agg, params, fresh)
             out = [self._send("VALIDITY_RESULT", {"accepted": ok, "distance": dist})]
             if not ok:
-                self.state = "DONE"
-                self.reason = "aggregate does not match the embedded watermark"
+                self._settle(False, "aggregate does not match the embedded watermark")
                 out.append(self._send("SESSION_RESULT",
                                       {"accepted": False, "rounds_passed": 0}))
                 return out
@@ -318,9 +352,8 @@ class VerifierSession:
             self.state = "COMMIT"
             return out
 
+        self._check_round(msg)
         if mtype == "COMMIT":
-            if _int_field(msg, "round", lo=0) != self.round:
-                raise ProtocolError("wrong round index")
             self._msg1 = decode_msg1(msg)
             if self._msg1.C0.l_com != self.l_com:
                 raise ProtocolError(f"l_com {self._msg1.C0.l_com} differs from "
@@ -331,77 +364,42 @@ class VerifierSession:
                                              "c": self._challenge.c})]
 
         # RESPONSE
-        if _int_field(msg, "round", lo=0) != self.round:
-            raise ProtocolError("wrong round index")
         resp = decode_response(msg, self._pub.A.rows)
         ok = verifier_check_round(self._pub, self._msg1, self._challenge, resp, self._w)
         out = [self._send("ROUND_RESULT", {"round": self.round, "accepted": ok})]
         if not ok:
-            self.state = "DONE"
-            self.reason = f"round {self.round} rejected"
-            out.append(self._send("SESSION_RESULT",
-                                  {"accepted": False, "rounds_passed": self.round}))
-            return out
-        self.round += 1
-        if self.round == self.d:
-            self.state = "DONE"
-            self.accepted = True
-            self.reason = "all rounds accepted"
-            out.append(self._send("SESSION_RESULT",
-                                  {"accepted": True, "rounds_passed": self.d}))
-            return out
-        self.state = "COMMIT"
+            self._settle(False, f"round {self.round} rejected")
+        else:
+            self.round += 1
+            if self.round < self.d:
+                self.state = "COMMIT"
+                return out
+            self._settle(True, "all rounds accepted")
+        out.append(self._send("SESSION_RESULT",
+                              {"accepted": self.accepted, "rounds_passed": self.round}))
         return out
 
-    def summary(self) -> SessionSummary:
-        return SessionSummary(session_id=self.session_id or "?", client=self.client,
-                              accepted=self.accepted, aborted=False,
-                              reason=self.reason, rounds_passed=self.round)
 
-
-class ProverSession:
+class ProverSession(_Session):
     """Sans-io prover side: owns a credential and argues one aggregate slot.
 
     The credential is taken on faith here; whether it actually opens the
     claimed slot comes out in the protocol, not in a local precheck.
     """
 
+    peer = "verifier"
+
     def __init__(self, cred: Credential, agg: AggregatedInput, params: XlpnParams,
                  client: int, d: int, rng: np.random.Generator,
                  l_com: int = DEFAULT_COMMIT_BITS):
         if not 0 <= client < agg.K:
             raise ValueError("client index outside the aggregate")
-        if d < 1:
-            raise ValueError("need at least one round")
+        super().__init__(d, rng, l_com, "START", rng.bytes(8).hex(), client)
         self.cred = cred
         self.agg = agg
         self.params = params
-        self.client = client
-        self.d = d
-        self.rng = rng
-        self.l_com = l_com
         self.pub = select_component(agg, client)
-        self.session_id = rng.bytes(8).hex()
-        self.state = "START"
-        self.round = 0
-        self.accepted = False
-        self.reason = ""
-        self.transcript: list = []
-        self._seq_out = 0
-        self._seq_in = -1
         self._round_state = None
-
-    @property
-    def done(self) -> bool:
-        return self.state == "DONE"
-
-    def _send(self, mtype: str, body: dict) -> str:
-        msg = {"type": mtype, "session": self.session_id,
-               "seq": self._seq_out, **body}
-        self._seq_out += 1
-        line = _encode(msg)
-        self.transcript.append(line)
-        return line
 
     def _commit(self) -> str:
         self._round_state, msg1 = prover_commit(self.pub, self.cred, self.rng,
@@ -411,68 +409,28 @@ class ProverSession:
     def start(self) -> list:
         if self.state != "START":
             raise ProtocolError("session already started")
-        self.state = "VALIDITY"
+        self.state = "VALIDITY_RESULT"
         return [
             self._send("HELLO", {"client": self.client, "rounds": self.d}),
             self._send("AGG_INPUT", encode_aggregate(self.agg, self.params)),
         ]
 
-    def _fail(self, reason: str) -> list:
-        self.state = "DONE"
-        self.accepted = False
-        self.reason = reason
-        return [self._send("ERROR", {"message": reason})]
-
-    def feed(self, line: str) -> list:
-        self.transcript.append(line.rstrip("\n"))
-        try:
-            msg = _decode(line)
-        except ProtocolError as exc:
-            return self._fail(str(exc))
-        try:
-            return self._step(msg)
-        except ProtocolError as exc:
-            return self._fail(str(exc))
-
     def _step(self, msg: dict) -> list:
-        if self.done or self.state == "START":
-            raise ProtocolError("no verifier message expected now")
-        if msg["seq"] <= self._seq_in:
-            raise ProtocolError("sequence number did not increase")
-        self._seq_in = msg["seq"]
-        if msg["session"] != self.session_id:
-            raise ProtocolError("reply for a different session")
-
         mtype = msg["type"]
-        if mtype == "ERROR":
-            self.state = "DONE"
-            self.reason = f"verifier error: {msg.get('message', '')}"
-            return []
-        expected = {"VALIDITY": "VALIDITY_RESULT", "CHALLENGE": "CHALLENGE",
-                    "ROUND_RESULT": "ROUND_RESULT", "SESSION_RESULT": "SESSION_RESULT"}
-        if mtype != expected.get(self.state):
-            raise ProtocolError(f"unexpected {mtype} in state {self.state}")
-
         if mtype == "VALIDITY_RESULT":
             if not msg.get("accepted"):
                 self.state = "SESSION_RESULT"
                 self.reason = "aggregate failed the validity check"
                 return []
-            self.state = "CHALLENGE"
-            return [self._commit()]
-
-        if mtype == "CHALLENGE":
-            if _int_field(msg, "round", lo=0) != self.round:
-                raise ProtocolError("challenge for the wrong round")
+        elif mtype == "CHALLENGE":
+            self._check_round(msg)
             ch = Challenge(_int_field(msg, "c", lo=0, hi=2))
             resp = prover_respond(self._round_state, ch)
             self.state = "ROUND_RESULT"
             return [self._send("RESPONSE", {"round": self.round,
                                             **encode_response(resp)})]
-
-        if mtype == "ROUND_RESULT":
-            if _int_field(msg, "round", lo=0) != self.round:
-                raise ProtocolError("result for the wrong round")
+        elif mtype == "ROUND_RESULT":
+            self._check_round(msg)
             if not msg.get("accepted"):
                 self.state = "SESSION_RESULT"
                 self.reason = f"round {self.round} rejected"
@@ -481,15 +439,12 @@ class ProverSession:
             if self.round == self.d:
                 self.state = "SESSION_RESULT"
                 return []
-            self.state = "CHALLENGE"
-            return [self._commit()]
-
-        # SESSION_RESULT
-        self.state = "DONE"
-        self.accepted = bool(msg.get("accepted"))
-        if not self.reason:
-            self.reason = "accepted" if self.accepted else "rejected"
-        return []
+        else:  # SESSION_RESULT
+            accepted = bool(msg.get("accepted"))
+            self._settle(accepted, self.reason or ("accepted" if accepted else "rejected"))
+            return []
+        self.state = "CHALLENGE"
+        return [self._commit()]
 
 
 def _write_lines(wr, lines) -> None:
@@ -498,43 +453,38 @@ def _write_lines(wr, lines) -> None:
     wr.flush()
 
 
-def _pump(session, rd, wr) -> None:
-    """Feed peer lines to a session and send its replies until it settles.
+def _run(session: _Session, conn, transcript_path=None, first=()) -> SessionSummary:
+    """Send `first`, then feed peer lines to the session until it settles.
 
     A read stops after MAX_LINE_BYTES + 1 characters (bytes, on the ASCII
     wire), so a peer that never sends a newline gets its session rejected
-    instead of growing memory without bound.  The readers decode with
+    instead of growing memory without bound.  The reader decodes with
     errors="replace": bad UTF-8 then fails as bad JSON, not as a crash.
+    A connection lost before the verdict is an abort; after it, only the
+    tail write failed and the verdict stands.  The session's transcript is
+    appended to `transcript_path` either way.
     """
-    while not session.done:
-        line = rd.readline(MAX_LINE_BYTES + 1)
-        if not line:
-            raise TransportError("connection closed mid-session")
-        if len(line) > MAX_LINE_BYTES:
-            replies = session._fail("line too long")
-        else:
-            replies = session.feed(line)
-        _write_lines(wr, replies)
-
-
-def _serve_session(conn, make_session, transcript_path=None) -> SessionSummary:
-    session = None
     try:
         with conn, conn.makefile("r", encoding="utf-8", errors="replace", newline="\n") as rd, \
                 conn.makefile("w", encoding="utf-8", newline="\n") as wr:
-            session = make_session()
-            _pump(session, rd, wr)
+            _write_lines(wr, first)
+            while not session.done:
+                line = rd.readline(MAX_LINE_BYTES + 1)
+                if not line:
+                    raise TransportError("connection closed mid-session")
+                if len(line) > MAX_LINE_BYTES:
+                    replies = session._fail("line too long")
+                else:
+                    replies = session.feed(line)
+                _write_lines(wr, replies)
     except (OSError, TransportError) as exc:
-        if session is not None and session.done:
-            pass  # result already settled; the tail write just failed
-        else:
+        if not session.done:
             return SessionSummary(
-                session_id=(session.session_id if session else None) or "?",
-                client=session.client if session else None,
+                session_id=session.session_id or "?", client=session.client,
                 accepted=False, aborted=True, reason=str(exc),
-                rounds_passed=session.round if session else 0)
+                rounds_passed=session.round)
     finally:
-        if session is not None and transcript_path is not None:
+        if transcript_path is not None:
             with open(transcript_path, "a") as fh:
                 for line in session.transcript:
                     fh.write(line + "\n")
@@ -569,10 +519,8 @@ def run_verifier_endpoint(host: str, port: int, h_extracted: BitVec, err_n: int,
             except socket.timeout:
                 break
             conn.settimeout(timeout)
-            summaries.append(_serve_session(
-                conn,
-                lambda: VerifierSession(h_extracted, err_n, d, rng, l_com),
-                transcript_path))
+            summaries.append(_run(VerifierSession(h_extracted, err_n, d, rng, l_com),
+                                  conn, transcript_path))
     return summaries
 
 
@@ -588,16 +536,10 @@ def run_prover_endpoint(host: str, port: int, cred: Credential,
     """
     session = ProverSession(cred, agg, params, client, d, rng, l_com)
     try:
-        with socket.create_connection((host, port), timeout=timeout) as conn, \
-                conn.makefile("r", encoding="utf-8", errors="replace", newline="\n") as rd, \
-                conn.makefile("w", encoding="utf-8", newline="\n") as wr:
-            _write_lines(wr, session.start())
-            _pump(session, rd, wr)
+        conn = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise TransportError(str(exc)) from None
-    finally:
-        if transcript_path is not None:
-            with open(transcript_path, "a") as fh:
-                for line in session.transcript:
-                    fh.write(line + "\n")
-    return session.accepted
+    summary = _run(session, conn, transcript_path, first=session.start())
+    if summary.aborted:
+        raise TransportError(summary.reason)
+    return summary.accepted

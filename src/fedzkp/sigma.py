@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .commitments import DEFAULT_COMMIT_BITS, Commitment, commit, commit_batch, verify_commit
+from .commitments import DEFAULT_COMMIT_BITS, Commitment, commit_batch, verify_commit
 from .gf2 import BitVec, Permutation, in_image, mat_vec_mul, sample_fixed_weight, solve_linear
 from .lpn import Credential, PublicInput
 
@@ -99,7 +99,7 @@ def _blob(pi: Permutation, t0: BitVec) -> bytes:
     return pi.to_bytes() + t0.to_bytes()
 
 
-def _commit_round(pub, pi, v, f, t0, t1, t2, rng, l_com) -> tuple[ProverRoundState, RoundMessage1]:
+def _commit_round(pi, v, f, t0, t1, t2, rng, l_com) -> tuple[ProverRoundState, RoundMessage1]:
     # one RNG trip for all three openings; generator calls are not free
     (C0, o0), (C1, o1), (C2, o2) = commit_batch(
         [_blob(pi, t0), t1.to_bytes(), t2.to_bytes()], rng, l_com)
@@ -125,7 +125,7 @@ def prover_commit(
     t0 = mat_vec_mul(pub.A, v) ^ f
     t1 = pi.apply(f)
     t2 = pi.apply(f ^ cred.e)
-    return _commit_round(pub, pi, v, f, t0, t1, t2, rng, l_com)
+    return _commit_round(pi, v, f, t0, t1, t2, rng, l_com)
 
 
 def verifier_challenge(rng: np.random.Generator) -> Challenge:
@@ -263,7 +263,7 @@ def cheat_commit(
         t2 = pi.apply(f)
     else:
         raise ValueError(f"unanswerable must be 0, 1 or 2, got {unanswerable}")
-    return _commit_round(pub, pi, v, f, t0, t1, t2, rng, l_com)
+    return _commit_round(pi, v, f, t0, t1, t2, rng, l_com)
 
 
 def simulate_round(
@@ -281,40 +281,36 @@ def simulate_round(
     """
     m, l = pub.A.rows, pub.A.cols
     c = challenge.c
+    pi = t0 = t1 = t2 = None
     if c == 0:
         pi = Permutation.random(m, rng)
         v = BitVec.random(l, rng)
         f = BitVec.random(m, rng)
         t0 = mat_vec_mul(pub.A, v) ^ f
         t1 = pi.apply(f)
-        C0, o0 = commit(_blob(pi, t0), rng, l_com)
-        C1, o1 = commit(t1.to_bytes(), rng, l_com)
-        C2, _ = commit(b"\x00", rng, l_com)
-        msg1 = RoundMessage1(C0, C1, C2)
-        resp = RoundResponse(0, pi, t0, t1, None, o0.d, o1.d, None)
     elif c == 1:
         pi = Permutation.random(m, rng)
         a = BitVec.random(m, rng)
         b = BitVec.random(l, rng)
         t0 = mat_vec_mul(pub.A, b) ^ pub.y ^ a
         t2 = pi.apply(a)
-        C0, o0 = commit(_blob(pi, t0), rng, l_com)
-        C1, _ = commit(b"\x00", rng, l_com)
-        C2, o2 = commit(t2.to_bytes(), rng, l_com)
-        msg1 = RoundMessage1(C0, C1, C2)
-        resp = RoundResponse(1, pi, t0, None, t2, o0.d, None, o2.d)
     elif c == 2:
         a = BitVec.random(m, rng)
         b = sample_fixed_weight(m, w, rng)
         t1 = a
         t2 = a ^ b
-        C0, _ = commit(b"\x00", rng, l_com)
-        C1, o1 = commit(t1.to_bytes(), rng, l_com)
-        C2, o2 = commit(t2.to_bytes(), rng, l_com)
-        msg1 = RoundMessage1(C0, C1, C2)
-        resp = RoundResponse(2, None, None, t1, t2, None, o1.d, o2.d)
     else:
         raise ValueError(f"challenge must be 0, 1 or 2, got {c}")
+    # the commitment this challenge leaves closed holds a dummy byte
+    (C0, o0), (C1, o1), (C2, o2) = commit_batch(
+        [b"\x00" if t0 is None else _blob(pi, t0),
+         b"\x00" if t1 is None else t1.to_bytes(),
+         b"\x00" if t2 is None else t2.to_bytes()], rng, l_com)
+    msg1 = RoundMessage1(C0, C1, C2)
+    resp = RoundResponse(c, pi, t0, t1, t2,
+                         None if t0 is None else o0.d,
+                         None if t1 is None else o1.d,
+                         None if t2 is None else o2.d)
     accepted = verifier_check_round(pub, msg1, challenge, resp, w)
     return Transcript(msg1, challenge, resp, accepted)
 

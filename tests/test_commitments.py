@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from fedzkp.commitments import Commitment, commit, verify_commit
+from fedzkp.commitments import Commitment, commit, commit_batch, verify_commit
 
 
 def test_matches_direct_shake_oracle():
@@ -13,6 +13,15 @@ def test_matches_direct_shake_oracle():
     assert c.l_com == 800 and len(c.c) == 100 and len(o.d) == 32
     assert c.c == hashlib.shake_256(o.d + b"hello").digest(100)
     assert o.m == b"hello"
+
+
+def test_commit_is_a_batch_of_one_and_batches_split_freely():
+    msgs = [b"first", b"", b"third" * 40]
+    one = commit(msgs[0], np.random.default_rng(3), l_com=256)
+    assert one == commit_batch(msgs[:1], np.random.default_rng(3), l_com=256)[0]
+    rng = np.random.default_rng(4)
+    singles = [commit(m, rng, l_com=256) for m in msgs]
+    assert singles == commit_batch(msgs, np.random.default_rng(4), l_com=256)
 
 
 def test_fresh_openings_never_collide():

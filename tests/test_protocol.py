@@ -94,6 +94,19 @@ class TestLoopback:
                     pending.extend(prover.feed(reply))
         assert not verifier.accepted
 
+    def test_a_settled_verdict_is_final_on_both_sides(self):
+        rng, pairs, agg, wm = make_world(seed=9)
+        prover = ProverSession(pairs[0][1], agg, PARAMS, 0, d=4, rng=rng, l_com=L_COM)
+        verifier = VerifierSession(wm.h, ERR_N, d=4, rng=rng, l_com=L_COM)
+        drive(prover, verifier)
+        for session in (verifier, prover):
+            before = session.summary()
+            assert before.accepted and before.rounds_passed == 4
+            for junk in ("not json", json.dumps({"type": "HELLO", "session": "s", "seq": 99})):
+                out = session.feed(junk)
+                assert json.loads(out[0])["type"] == "ERROR"
+            assert session.done and session.summary() == before
+
     def test_session_ids_differ(self):
         rng, pairs, agg, wm = make_world(seed=6)
         a = ProverSession(pairs[0][1], agg, PARAMS, 0, d=2, rng=rng)
@@ -126,6 +139,21 @@ class TestVerifierRejectsBadWire:
                                  "l_com": L_COM}))
         assert v.done and not v.accepted
         assert "unexpected" in json.loads(out[0])["message"]
+
+    def test_sequence_number_must_be_an_integer(self):
+        v = self.fresh()
+        out = v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": True,
+                                 "client": 0, "rounds": 4}))
+        assert v.done and not v.accepted
+        assert "seq" in json.loads(out[0])["message"]
+
+    def test_prover_error_closes_without_a_reply(self):
+        v = self.fresh()
+        v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": 0, "client": 0, "rounds": 4}))
+        out = v.feed(json.dumps({"type": "ERROR", "session": "s", "seq": 1,
+                                 "message": "giving up"}))
+        assert out == [] and v.done and not v.accepted
+        assert "giving up" in v.reason
 
     def test_sequence_must_increase(self):
         v = self.fresh()
