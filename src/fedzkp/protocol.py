@@ -1,7 +1,9 @@
 """Wire protocol: the credential proof run between two processes.
 
 One JSON object per line over a byte stream, binary payloads hex-encoded,
-permutations as 32-bit little-endian indices.  The prover speaks first:
+permutations as 32-bit little-endian indices.  AGG_INPUT's one field
+"aggregate" holds the bytes of storage's aggregate.bin; COMMIT digests
+are as long as the verifier's own l_com.  The prover speaks first:
 
     HELLO -> AGG_INPUT -> (VALIDITY_RESULT) ->
         [ COMMIT -> (CHALLENGE) -> RESPONSE -> (ROUND_RESULT) ] x d
@@ -13,9 +15,10 @@ sequence number that must strictly increase; round-scoped messages also
 carry the round index.  Anything malformed or out of order draws an
 ERROR reply and closes the session as rejected; a peer's ERROR closes it
 as rejected without a reply.  A settled verdict is final: a line fed
-after it draws an ERROR reply and changes nothing.  A torn connection is
-an abort, which is deliberately distinct from a reject: it says nothing
-about the credential.
+after it draws an ERROR reply and changes nothing, and a SESSION_RESULT
+that contradicts the rounds the prover saw counts as malformed.  A torn
+connection is an abort, which is deliberately distinct from a reject: it
+says nothing about the credential.
 
 Both roles are sans-io subclasses of one skeleton, _Session: feed() maps
 one incoming line to a list of outgoing lines, so tests can drive them
@@ -26,26 +29,25 @@ its _step.  Both TCP endpoints run a session through one loop, _run.
 
 A verifier process keeps the last aggregate that passed validity: one
 entry of K*m*l bytes, with its decoded slots and its hash, never admitted
-on a failed check.  It is keyed on the exact wire content: the watermark
-length, the scalar fields after their type checks, and the hex parts
-compared verbatim.  A repeat of that AGG_INPUT skips the decode and the
-hash and reuses the decoded slots, so each slot's column elimination
-runs once per process.  The distance against the session's own
-watermark, the client index and every round are still checked per
-session.
+on a failed check.  It is keyed on the watermark length and the
+"aggregate" string compared verbatim; a cached key always holds a string
+that decoded, so no value of another JSON type can equal it.  A repeat
+of that AGG_INPUT skips the decode and the hash and reuses the decoded
+slots, so each slot's column elimination runs once per process.  The
+distance against the session's own watermark, the client index and every
+round are still checked per session.
 """
 from __future__ import annotations
 
 import json
 import socket
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .commitments import DEFAULT_COMMIT_BITS, Commitment
-from .gf2 import BitMatrix, BitVec, Permutation, hamming_distance
+from .gf2 import BitVec, Permutation, hamming_distance
 from .lpn import Credential, PublicInput, XlpnParams
 from .sigma import (
     Challenge,
@@ -56,6 +58,7 @@ from .sigma import (
     verifier_challenge,
     verifier_check_round,
 )
+from .storage import aggregate_from_bytes, aggregate_to_bytes
 from .watermark import AggregatedInput, hash_watermark, select_component
 
 PROVER_TYPES = ("HELLO", "AGG_INPUT", "COMMIT", "RESPONSE")
@@ -64,7 +67,7 @@ ALL_TYPES = PROVER_TYPES + VERIFIER_TYPES + ("ERROR",)
 
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
-# (key, raw parts, AggregatedInput, XlpnParams, HashWatermark) of the last
+# (key, AggregatedInput, XlpnParams, HashWatermark) of the last
 # aggregate that passed validity, or None.  Swapped as one tuple, so the
 # verifier threads never see half an entry.
 _last_valid: Optional[tuple] = None
@@ -133,14 +136,14 @@ def _opt_hex(msg: dict, key: str) -> Optional[bytes]:
 
 
 def encode_msg1(msg1: RoundMessage1) -> dict:
-    return {"C0": msg1.C0.c.hex(), "C1": msg1.C1.c.hex(), "C2": msg1.C2.c.hex(),
-            "l_com": msg1.C0.l_com}
+    return {"C0": msg1.C0.c.hex(), "C1": msg1.C1.c.hex(), "C2": msg1.C2.c.hex()}
 
 
-def decode_msg1(body: dict) -> RoundMessage1:
-    l_com = _int_field(body, "l_com", lo=1)
-    return RoundMessage1(*(Commitment(_hex_field(body, k), l_com)
-                           for k in ("C0", "C1", "C2")))
+def decode_msg1(body: dict, l_com: int) -> RoundMessage1:
+    digests = [_hex_field(body, k) for k in ("C0", "C1", "C2")]
+    if any(len(c) != (l_com + 7) // 8 for c in digests):
+        raise ProtocolError(f"commitment is not an l_com={l_com} digest")
+    return RoundMessage1(*(Commitment(c, l_com) for c in digests))
 
 
 def encode_response(resp: RoundResponse) -> dict:
@@ -172,36 +175,14 @@ def decode_response(body: dict, m: int) -> RoundResponse:
 
 
 def encode_aggregate(agg: AggregatedInput, params: XlpnParams) -> dict:
-    return {"m": agg.m, "l": agg.l,
-            "tau_num": params.tau.numerator, "tau_den": params.tau.denominator,
-            "parts": [{"A": p.A.to_bytes().hex(), "y": p.y.to_bytes().hex()}
-                      for p in agg.parts]}
+    return {"aggregate": aggregate_to_bytes(agg, params).hex()}
 
 
 def decode_aggregate(body: dict) -> tuple:
-    m = _int_field(body, "m", lo=1)
-    l = _int_field(body, "l", lo=1)
-    num = _int_field(body, "tau_num", lo=0)
-    den = _int_field(body, "tau_den", lo=1)
     try:
-        params = XlpnParams(m=m, l=l, tau=Fraction(num, den))
+        return aggregate_from_bytes(_hex_field(body, "aggregate"), "aggregate")
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
-    raw_parts = body.get("parts")
-    if not isinstance(raw_parts, list) or not raw_parts:
-        raise ProtocolError("aggregate carries no client inputs")
-    parts = []
-    for entry in raw_parts:
-        if not isinstance(entry, dict):
-            raise ProtocolError("aggregate part must be an object")
-        try:
-            parts.append(PublicInput(
-                A=BitMatrix.from_bytes(_hex_field(entry, "A"), m, l),
-                y=BitVec.from_bytes(_hex_field(entry, "y"), m)))
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-    agg = AggregatedInput(parts=tuple(parts), m=m, l=l, K=len(parts))
-    return agg, params
 
 
 class _Session:
@@ -324,13 +305,11 @@ class VerifierSession(_Session):
 
         if mtype == "AGG_INPUT":
             global _last_valid
-            # type-checked first: True == 1 and 48.0 == 48 must not match a key
-            key = (len(self.h), _int_field(msg, "m", lo=1), _int_field(msg, "l", lo=1),
-                   _int_field(msg, "tau_num", lo=0), _int_field(msg, "tau_den", lo=1))
+            key = (len(self.h), msg.get("aggregate"))
             memo = _last_valid
-            hit = memo is not None and memo[0] == key and memo[1] == msg.get("parts")
+            hit = memo is not None and memo[0] == key
             if hit:
-                agg, params, fresh = memo[2:]
+                agg, params, fresh = memo[1:]
             else:
                 agg, params = decode_aggregate(msg)
             if self.client >= agg.K:
@@ -340,7 +319,7 @@ class VerifierSession(_Session):
             dist = hamming_distance(self.h, fresh.h)
             ok = dist < self.err_n
             if ok and not hit:
-                _last_valid = (key, msg["parts"], agg, params, fresh)
+                _last_valid = (key, agg, params, fresh)
             out = [self._send("VALIDITY_RESULT", {"accepted": ok, "distance": dist})]
             if not ok:
                 self._settle(False, "aggregate does not match the embedded watermark")
@@ -354,10 +333,7 @@ class VerifierSession(_Session):
 
         self._check_round(msg)
         if mtype == "COMMIT":
-            self._msg1 = decode_msg1(msg)
-            if self._msg1.C0.l_com != self.l_com:
-                raise ProtocolError(f"l_com {self._msg1.C0.l_com} differs from "
-                                    f"the verifier's l_com {self.l_com}")
+            self._msg1 = decode_msg1(msg, self.l_com)
             self._challenge = verifier_challenge(self.rng)
             self.state = "RESPONSE"
             return [self._send("CHALLENGE", {"round": self.round,
@@ -440,8 +416,11 @@ class ProverSession(_Session):
                 self.state = "SESSION_RESULT"
                 return []
         else:  # SESSION_RESULT
-            accepted = bool(msg.get("accepted"))
-            self._settle(accepted, self.reason or ("accepted" if accepted else "rejected"))
+            accepted = self.round == self.d
+            if (msg.get("accepted") is not accepted
+                    or _int_field(msg, "rounds_passed") != self.round):
+                raise ProtocolError("session result contradicts the rounds seen")
+            self._settle(accepted, self.reason or "accepted")
             return []
         self.state = "CHALLENGE"
         return [self._commit()]

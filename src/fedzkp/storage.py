@@ -4,7 +4,9 @@ model checkpoints and training history.
 Binary files share a layout: the 7-byte magic ``FEDZKP1``, a kind byte,
 a fixed little-endian header, then raw payload bytes.  Bit payloads use
 the gf2 packing (8 bits per byte, matrices row-major).  Float payloads
-are flat little-endian float64.
+are flat little-endian float64.  Every malformed input raises ValueError.
+The aggregate bytes are also the protocol's AGG_INPUT payload, so
+aggregate_to_bytes and aggregate_from_bytes hold its layout for both.
 
 Credentials are secrets; they get their own file kind and never appear
 inside public-input, aggregate or watermark files.  The embedding
@@ -51,12 +53,11 @@ def _write(path: PathLike, payload: bytes):
     Path(path).write_bytes(payload)
 
 
-def _read_kind(path: PathLike, kind: int) -> memoryview:
-    data = Path(path).read_bytes()
+def _view(data: bytes, kind: int, name) -> memoryview:
     if len(data) < len(MAGIC) + 1 or data[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a FEDZKP file")
+        raise ValueError(f"{name}: not a FEDZKP file")
     if data[len(MAGIC)] != kind:
-        raise ValueError(f"{path}: wrong file kind {data[len(MAGIC)]}, expected {kind}")
+        raise ValueError(f"{name}: wrong file kind {data[len(MAGIC)]}, expected {kind}")
     return memoryview(data)[len(MAGIC) + 1:]
 
 
@@ -66,11 +67,14 @@ def _pack_params(params: XlpnParams) -> bytes:
 
 
 def _unpack_params(view: memoryview) -> tuple:
-    m, l, num, den, w = _PARAMS.unpack_from(view)
+    raw, view = _expect(view, _PARAMS.size, "parameter header")
+    m, l, num, den, w = _PARAMS.unpack(raw)
+    if den == 0:
+        raise ValueError("stored noise rate has denominator 0")
     params = XlpnParams(m, l, Fraction(num, den))
     if params.w != w:
         raise ValueError("stored weight disagrees with stored noise rate")
-    return params, view[_PARAMS.size:]
+    return params, view
 
 
 def _expect(view: memoryview, size: int, what: str) -> tuple:
@@ -90,7 +94,7 @@ def save_credential(path: PathLike, cred: Credential, params: XlpnParams):
 
 
 def load_credential(path: PathLike) -> tuple:
-    view = _read_kind(path, KIND_CREDENTIAL)
+    view = _view(Path(path).read_bytes(), KIND_CREDENTIAL, path)
     params, view = _unpack_params(view)
     s_raw, view = _expect(view, _vec_bytes(params.l), "secret")
     e_raw, view = _expect(view, _vec_bytes(params.m), "noise")
@@ -108,7 +112,7 @@ def save_public_input(path: PathLike, pub: PublicInput, params: XlpnParams):
 
 
 def load_public_input(path: PathLike) -> tuple:
-    view = _read_kind(path, KIND_PUBLIC_INPUT)
+    view = _view(Path(path).read_bytes(), KIND_PUBLIC_INPUT, path)
     params, view = _unpack_params(view)
     a_raw, view = _expect(view, _mat_bytes(params.m, params.l), "matrix")
     y_raw, view = _expect(view, _vec_bytes(params.m), "image vector")
@@ -118,7 +122,7 @@ def load_public_input(path: PathLike) -> tuple:
     return pub, params
 
 
-def save_aggregate(path: PathLike, agg: AggregatedInput, params: XlpnParams):
+def aggregate_to_bytes(agg: AggregatedInput, params: XlpnParams) -> bytes:
     if (agg.m, agg.l) != (params.m, params.l):
         raise ValueError("aggregate dimensions disagree with the parameters")
     chunks = [MAGIC, bytes([KIND_AGGREGATE]), _pack_params(params),
@@ -126,11 +130,11 @@ def save_aggregate(path: PathLike, agg: AggregatedInput, params: XlpnParams):
     for pub in agg.parts:
         chunks.append(pub.A.to_bytes())
         chunks.append(pub.y.to_bytes())
-    _write(path, b"".join(chunks))
+    return b"".join(chunks)
 
 
-def load_aggregate(path: PathLike) -> tuple:
-    view = _read_kind(path, KIND_AGGREGATE)
+def aggregate_from_bytes(data: bytes, name) -> tuple:
+    view = _view(data, KIND_AGGREGATE, name)
     params, view = _unpack_params(view)
     raw, view = _expect(view, 4, "client count")
     (count,) = struct.unpack("<I", raw)
@@ -142,8 +146,16 @@ def load_aggregate(path: PathLike) -> tuple:
         y_raw, view = _expect(view, _vec_bytes(params.m), "image vector")
         parts.append(PublicInput(A=BitMatrix.from_bytes(a_raw, params.m, params.l),
                                  y=BitVec.from_bytes(y_raw, params.m)))
-    _done(view, path)
+    _done(view, name)
     return AggregatedInput(parts=tuple(parts), m=params.m, l=params.l, K=count), params
+
+
+def save_aggregate(path: PathLike, agg: AggregatedInput, params: XlpnParams):
+    _write(path, aggregate_to_bytes(agg, params))
+
+
+def load_aggregate(path: PathLike) -> tuple:
+    return aggregate_from_bytes(Path(path).read_bytes(), path)
 
 
 def save_watermark(path: PathLike, wm: HashWatermark):
@@ -167,7 +179,7 @@ def save_checkpoint(path: PathLike, state: ModelState):
 
 
 def load_checkpoint(path: PathLike) -> ModelState:
-    view = _read_kind(path, KIND_CHECKPOINT)
+    view = _view(Path(path).read_bytes(), KIND_CHECKPOINT, path)
     raw, view = _expect(view, struct.calcsize("<IIIQQ"), "model header")
     d_in, omega, classes, t_len, g_len = struct.unpack("<IIIQQ", raw)
     if g_len != omega:

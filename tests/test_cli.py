@@ -66,6 +66,15 @@ class TestWorkspaceLifecycle:
         save_watermark(tmp_path / "watermark.json", HashWatermark(flipped, wm.n))
         assert run("check", "--dir", str(tmp_path), "--client", "0") == 1
 
+    @pytest.mark.parametrize("name", ["aggregate.bin", "public_0.bin"])
+    def test_check_on_a_truncated_file_exits_with_an_error(self, workspace, tmp_path,
+                                                           capsys, name):
+        for f in ("params.json", "watermark.json", "aggregate.bin", "public_0.bin"):
+            (tmp_path / f).write_bytes((workspace / f).read_bytes())
+        (tmp_path / name).write_bytes((workspace / name).read_bytes()[:20])
+        assert run("check", "--dir", str(tmp_path), "--client", "0") == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_train_outputs(self, workspace, capsys):
         assert (workspace / "checkpoint.bin").exists()
         record = json.loads((workspace / "train.json").read_text())

@@ -1,6 +1,7 @@
 """Wire protocol tests: sans-io state machines, TCP endpoints, replay."""
 import json
 import socket
+import struct
 import sys
 import threading
 from fractions import Fraction
@@ -16,6 +17,7 @@ from fedzkp.protocol import (
     ProverSession,
     TransportError,
     VerifierSession,
+    decode_aggregate,
     encode_aggregate,
     encode_msg1,
     encode_response,
@@ -23,6 +25,7 @@ from fedzkp.protocol import (
     run_verifier_endpoint,
 )
 from fedzkp.sigma import Challenge, RoundMessage1, simulate_round
+from fedzkp.storage import save_aggregate, save_public_input
 from fedzkp.watermark import aggregate, hash_watermark, select_component
 
 PARAMS = XlpnParams(m=48, l=32, tau=Fraction(1, 4))
@@ -37,6 +40,11 @@ def make_world(seed=0, K=3):
     agg = aggregate([pub for pub, _ in pairs])
     wm = hash_watermark(agg, N_BITS)
     return rng, pairs, agg, wm
+
+
+def flip_hex(text, i):
+    """`text` with hex digit i changed, so one byte of the payload differs."""
+    return text[:i] + ("1" if text[i] == "0" else "0") + text[i + 1:]
 
 
 def drive(prover, verifier):
@@ -114,6 +122,15 @@ class TestLoopback:
         assert a.session_id != b.session_id
 
 
+def test_agg_input_carries_the_aggregate_file_bytes(tmp_path):
+    _, _, agg, wm = make_world(seed=2)
+    save_aggregate(tmp_path / "aggregate.bin", agg, PARAMS)
+    doc = encode_aggregate(agg, PARAMS)
+    assert bytes.fromhex(doc["aggregate"]) == (tmp_path / "aggregate.bin").read_bytes()
+    back, params = decode_aggregate(doc)
+    assert params == PARAMS and hash_watermark(back, N_BITS) == wm
+
+
 class TestVerifierRejectsBadWire:
     def setup_method(self):
         self.rng, self.pairs, self.agg, self.wm = make_world(seed=7)
@@ -135,8 +152,7 @@ class TestVerifierRejectsBadWire:
     def test_out_of_order_commit_before_hello(self):
         v = self.fresh()
         out = v.feed(json.dumps({"type": "COMMIT", "session": "s", "seq": 0,
-                                 "round": 0, "C0": "", "C1": "", "C2": "",
-                                 "l_com": L_COM}))
+                                 "round": 0, "C0": "", "C1": "", "C2": ""}))
         assert v.done and not v.accepted
         assert "unexpected" in json.loads(out[0])["message"]
 
@@ -182,7 +198,7 @@ class TestVerifierRejectsBadWire:
                                d=4, rng=self.rng, l_com=L_COM)
         hello, agg_line = prover.start()
         doc = json.loads(agg_line)
-        doc["parts"][0]["A"] = "zz" + doc["parts"][0]["A"][2:]
+        doc["aggregate"] = "zz" + doc["aggregate"][2:]
         v = self.fresh()
         v.feed(hello)
         out = v.feed(json.dumps(doc))
@@ -252,6 +268,23 @@ class TestProverRejectsBadWire:
                                  "seq": 0, "message": "go away"}))
         assert p.done and not p.accepted and out == []
         assert "go away" in p.reason
+
+    @pytest.mark.parametrize("verdict", [{"accepted": True, "rounds_passed": 0},
+                                         {"accepted": False, "rounds_passed": 3}])
+    @pytest.mark.parametrize("rejected_by", ["VALIDITY_RESULT", "ROUND_RESULT"])
+    def test_a_session_result_must_match_the_rounds_seen(self, rejected_by, verdict):
+        p = self.fresh()
+        bodies = [("VALIDITY_RESULT", {"accepted": rejected_by != "VALIDITY_RESULT"})]
+        if rejected_by == "ROUND_RESULT":
+            bodies += [("CHALLENGE", {"round": 0, "c": 1}),
+                       ("ROUND_RESULT", {"round": 0, "accepted": False})]
+        bodies.append(("SESSION_RESULT", verdict))
+        for seq, (mtype, body) in enumerate(bodies):
+            out = p.feed(json.dumps({"type": mtype, "session": p.session_id,
+                                     "seq": seq, **body}))
+        assert json.loads(out[0])["type"] == "ERROR"
+        assert p.done and not p.accepted and p.round == 0
+        assert "contradicts" in p.reason
 
     def test_cannot_start_twice(self):
         p = self.fresh()
@@ -483,6 +516,28 @@ class TestBoundedReads:
         assert json.loads(replies[0])["message"] == "line too long"
 
 
+HEADER_BYTES = 40  # magic, kind, (m, l, tau, w), client count
+
+
+def _patch(blob, at, raw):
+    return blob[:at] + raw + blob[at + len(raw):]
+
+
+# AGG_INPUT payloads built from the genuine aggregate's bytes and a
+# public_0.bin file's bytes
+MALFORMED = {
+    "truncated_header": lambda blob, public: blob[:20].hex(),
+    "short_part": lambda blob, public: blob[:-1].hex(),
+    "trailing_byte": lambda blob, public: (blob + b"\x00").hex(),
+    "tau_den_zero": lambda blob, public: _patch(blob, 8 + 4 + 4 + 8, bytes(8)).hex(),
+    "weight_off_tau": lambda blob, public:
+        _patch(blob, 8 + 4 + 4 + 8 + 8, struct.pack("<I", PARAMS.w + 1)).hex(),
+    "public_input_kind": lambda blob, public: public.hex(),
+    "number": lambda blob, public: 17,
+    "list": lambda blob, public: [blob.hex()],
+}
+
+
 class TestAggregateMemo:
     """A verifier process decodes, hashes and eliminates one valid aggregate once."""
 
@@ -529,19 +584,21 @@ class TestAggregateMemo:
         assert self.session().accepted and self.session(seed=34).accepted
         assert self.calls == {"decode": 1, "hash": 1, "basis": 1}
 
-    @pytest.mark.parametrize("field, value", [("tau_num", True), ("m", 48.0)])
-    def test_a_loosely_typed_scalar_is_no_hit(self, field, value):
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_malformed_aggregate_draws_an_error(self, case, tmp_path):
         assert self.session().accepted
         entry = protocol._last_valid
-        v, out = self.feed_aggregate({**encode_aggregate(self.agg, PARAMS), field: value})
-        assert v.done and not v.accepted
-        assert out[0]["type"] == "ERROR" and field in out[0]["message"]
+        blob = bytes.fromhex(encode_aggregate(self.agg, PARAMS)["aggregate"])
+        save_public_input(tmp_path / "public_0.bin", self.pairs[0][0], PARAMS)
+        public = (tmp_path / "public_0.bin").read_bytes()
+        v, out = self.feed_aggregate({"aggregate": MALFORMED[case](blob, public)})
+        assert v.done and not v.accepted and out[0]["type"] == "ERROR"
         assert protocol._last_valid is entry
 
     def test_bad_hex_is_rejected_with_a_warm_memo(self):
         assert self.session().accepted
         doc = encode_aggregate(self.agg, PARAMS)
-        doc["parts"][2]["y"] = "zz" + doc["parts"][2]["y"][2:]
+        doc["aggregate"] = doc["aggregate"][:-2] + "zz"
         v, out = self.feed_aggregate(doc)
         assert v.done and out[0]["type"] == "ERROR" and "hex" in out[0]["message"]
 
@@ -549,8 +606,7 @@ class TestAggregateMemo:
         assert self.session().accepted
         entry = protocol._last_valid
         doc = encode_aggregate(self.agg, PARAMS)
-        a = doc["parts"][0]["A"]
-        doc["parts"][0]["A"] = ("1" if a[0] == "0" else "0") + a[1:]
+        doc["aggregate"] = flip_hex(doc["aggregate"], 2 * HEADER_BYTES)  # part 0's A
         v, out = self.feed_aggregate(doc)
         assert out[0]["type"] == "VALIDITY_RESULT" and not out[0]["accepted"]
         assert v.done and not v.accepted
@@ -568,9 +624,8 @@ class TestAggregateMemo:
 
     def test_threads_share_the_entry_without_a_wrong_verdict(self):
         genuine = encode_aggregate(self.agg, PARAMS)
-        altered = json.loads(json.dumps(genuine))
-        altered["parts"][1]["y"] = ("1" if altered["parts"][1]["y"][0] == "0" else "0") \
-            + altered["parts"][1]["y"][1:]
+        last = len(genuine["aggregate"]) - 1  # in the last part's y
+        altered = {"aggregate": flip_hex(genuine["aggregate"], last)}
         errors = []
 
         def worker(i):
@@ -596,7 +651,7 @@ class TestAggregateMemo:
         finally:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert protocol._last_valid[1] == genuine["parts"]
+        assert protocol._last_valid[0][1] == genuine["aggregate"]
 
     def test_two_sessions_through_one_endpoint(self):
         port_box = []

@@ -126,6 +126,40 @@ class TestAggregateFiles:
             save_aggregate(tmp_path / "agg.bin", agg, other)
 
 
+# every file kind that opens with the (m, l, tau, w) header
+WRITERS = {
+    "credential": (lambda path, pub, cred: save_credential(path, cred, PARAMS),
+                   load_credential),
+    "public_input": (lambda path, pub, cred: save_public_input(path, pub, PARAMS),
+                     load_public_input),
+    "aggregate": (lambda path, pub, cred: save_aggregate(path, aggregate([pub]), PARAMS),
+                  load_aggregate),
+}
+
+
+class TestParameterHeaders:
+    def saved(self, tmp_path, rng, kind):
+        path = tmp_path / "file.bin"
+        WRITERS[kind][0](path, *gen_instance(PARAMS, rng))
+        return path, WRITERS[kind][1]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_short_header_is_a_value_error(self, tmp_path, rng, kind):
+        path, load = self.saved(tmp_path, rng, kind)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError, match="truncated"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_zero_tau_denominator_is_a_value_error(self, tmp_path, rng, kind):
+        path, load = self.saved(tmp_path, rng, kind)
+        data = bytearray(path.read_bytes())
+        data[8 + 4 + 4 + 8:8 + 4 + 4 + 8 + 8] = bytes(8)  # tau denominator field
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="denominator"):
+            load(path)
+
+
 class TestWatermarkFiles:
     def test_round_trip(self, tmp_path, rng):
         parts = [gen_instance(PARAMS, rng)[0] for _ in range(3)]
