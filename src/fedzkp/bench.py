@@ -42,12 +42,6 @@ class SlopeReport:
     slope: float
     intercept: float
 
-    def csv_rows(self):
-        yield "m,l,seconds"
-        for p in self.points:
-            yield f"{p.m},{p.l},{p.seconds:.9f}"
-        yield f"# log-log slope {self.slope:.3f}"
-
 
 def _fit(points) -> SlopeReport:
     xs = np.log([p.m for p in points])

@@ -351,8 +351,8 @@ def cmd_bench(args) -> int:
         kwargs["reps"] = args.reps
     report = kind(**kwargs)
     print("m,l,seconds")
-    for row in report.csv_rows():
-        print(row)
+    for p in report.points:
+        print(f"{p.m},{p.l},{p.seconds:.9f}")
     print(f"slope={report.slope:.4f}")
     return 0
 

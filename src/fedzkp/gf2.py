@@ -257,16 +257,8 @@ class Permutation:
         return p
 
     @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls._wrap(np.arange(m, dtype=np.int64))
-
-    @classmethod
     def random(cls, m: int, rng: np.random.Generator) -> "Permutation":
         return cls._wrap(rng.permutation(m).astype(np.int64, copy=False))
-
-    @property
-    def mapping(self) -> np.ndarray:
-        return self._map
 
     def __len__(self) -> int:
         return self._map.size

@@ -121,6 +121,13 @@ def _int_field(msg: dict, key: str, lo=None, hi=None) -> int:
     return v
 
 
+def _bool_field(msg: dict, key: str) -> bool:
+    v = msg.get(key)
+    if not isinstance(v, bool):
+        raise ProtocolError(f"field {key!r} must be a boolean")
+    return v
+
+
 def _hex_field(msg: dict, key: str) -> bytes:
     v = msg.get(key)
     if not isinstance(v, str):
@@ -394,7 +401,7 @@ class ProverSession(_Session):
     def _step(self, msg: dict) -> list:
         mtype = msg["type"]
         if mtype == "VALIDITY_RESULT":
-            if not msg.get("accepted"):
+            if not _bool_field(msg, "accepted"):
                 self.state = "SESSION_RESULT"
                 self.reason = "aggregate failed the validity check"
                 return []
@@ -407,7 +414,7 @@ class ProverSession(_Session):
                                             **encode_response(resp)})]
         elif mtype == "ROUND_RESULT":
             self._check_round(msg)
-            if not msg.get("accepted"):
+            if not _bool_field(msg, "accepted"):
                 self.state = "SESSION_RESULT"
                 self.reason = f"round {self.round} rejected"
                 return []
@@ -417,7 +424,7 @@ class ProverSession(_Session):
                 return []
         else:  # SESSION_RESULT
             accepted = self.round == self.d
-            if (msg.get("accepted") is not accepted
+            if (_bool_field(msg, "accepted") is not accepted
                     or _int_field(msg, "rounds_passed") != self.round):
                 raise ProtocolError("session result contradicts the rounds seen")
             self._settle(accepted, self.reason or "accepted")

@@ -7,7 +7,9 @@ and random vectors (v, f), commits to
     C1 = Com(t1)          t1 = pi(f)
     C2 = Com(t2)          t2 = pi(f xor e)
 
-and the verifier asks for one of three partial openings:
+and the verifier asks for one of three partial openings.  OPENS[c] names
+the two commitments challenge c opens; the prover's response and the
+verifier's check both read it:
 
     c = 0  open C0, C1; accept iff t0 xor pi^-1(t1) is in the image of A
     c = 1  open C0, C2; accept iff t0 xor pi^-1(t2) xor y is in the image of A
@@ -35,6 +37,9 @@ from .gf2 import BitVec, Permutation, in_image, mat_vec_mul, sample_fixed_weight
 from .lpn import Credential, PublicInput
 
 DEFAULT_ROUNDS = 300
+
+# the two commitments challenge c opens
+OPENS = ((0, 1), (0, 2), (1, 2))
 
 
 class ExtractionError(Exception):
@@ -94,15 +99,22 @@ class ProverRoundState:
     d2: bytes
 
 
-def _blob(pi: Permutation, t0: BitVec) -> bytes:
-    # committed payload of C0: permutation indices, then bit-packed t0
-    return pi.to_bytes() + t0.to_bytes()
+def _payloads(pi, t0, t1, t2) -> tuple:
+    # the values C0, C1 and C2 commit to, in order
+    return (pi, t0), (t1,), (t2,)
+
+
+def _blob(*values) -> bytes:
+    # committed bytes: pi's indices, then each t bit-packed
+    return b"".join(v.to_bytes() for v in values)
 
 
 def _commit_round(pi, v, f, t0, t1, t2, rng, l_com) -> tuple[ProverRoundState, RoundMessage1]:
-    # one RNG trip for all three openings; generator calls are not free
+    # one RNG trip for all three openings; generator calls are not free.
+    # The simulator leaves its unopened slot None, which commits a dummy byte.
     (C0, o0), (C1, o1), (C2, o2) = commit_batch(
-        [_blob(pi, t0), t1.to_bytes(), t2.to_bytes()], rng, l_com)
+        [b"\x00" if vals[-1] is None else _blob(*vals)
+         for vals in _payloads(pi, t0, t1, t2)], rng, l_com)
     state = ProverRoundState(pi, v, f, t0, t1, t2, o0.d, o1.d, o2.d)
     return state, RoundMessage1(C0, C1, C2)
 
@@ -135,13 +147,14 @@ def verifier_challenge(rng: np.random.Generator) -> Challenge:
 def prover_respond(state: ProverRoundState, challenge: Challenge) -> RoundResponse:
     """Open exactly the two commitments the challenge prescribes."""
     c = challenge.c if isinstance(challenge, Challenge) else int(challenge)
-    if c == 0:
-        return RoundResponse(0, state.pi, state.t0, state.t1, None, state.d0, state.d1, None)
-    if c == 1:
-        return RoundResponse(1, state.pi, state.t0, None, state.t2, state.d0, None, state.d2)
-    if c == 2:
-        return RoundResponse(2, None, None, state.t1, state.t2, None, state.d1, state.d2)
-    raise ValueError(f"challenge must be 0, 1 or 2, got {c}")
+    if c not in (0, 1, 2):
+        raise ValueError(f"challenge must be 0, 1 or 2, got {c}")
+    opened = OPENS[c]
+    o0, o1, o2 = 0 in opened, 1 in opened, 2 in opened
+    return RoundResponse(c, state.pi if o0 else None, state.t0 if o0 else None,
+                         state.t1 if o1 else None, state.t2 if o2 else None,
+                         state.d0 if o0 else None, state.d1 if o1 else None,
+                         state.d2 if o2 else None)
 
 
 def verifier_check_round(
@@ -154,40 +167,21 @@ def verifier_check_round(
     """Accept or reject one round; malformed input rejects rather than raises."""
     try:
         c = challenge.c if isinstance(challenge, Challenge) else int(challenge)
-        if resp.c != c:
+        if resp.c != c or c not in (0, 1, 2):
             return False
         m = pub.A.rows
-        if c == 0:
-            if resp.pi is None or resp.t0 is None or resp.t1 is None:
+        values = _payloads(resp.pi, resp.t0, resp.t1, resp.t2)
+        digests = (resp.d0, resp.d1, resp.d2)
+        coms = (msg1.C0, msg1.C1, msg1.C2)
+        for i in OPENS[c]:
+            if any(v is None or len(v) != m for v in values[i]):
                 return False
-            if len(resp.pi) != m or len(resp.t0) != m or len(resp.t1) != m:
+            if not verify_commit(coms[i], digests[i], _blob(*values[i])):
                 return False
-            if not verify_commit(msg1.C0, resp.d0, _blob(resp.pi, resp.t0)):
-                return False
-            if not verify_commit(msg1.C1, resp.d1, resp.t1.to_bytes()):
-                return False
-            return in_image(pub.A, resp.t0 ^ resp.pi.inverse().apply(resp.t1))
-        if c == 1:
-            if resp.pi is None or resp.t0 is None or resp.t2 is None:
-                return False
-            if len(resp.pi) != m or len(resp.t0) != m or len(resp.t2) != m:
-                return False
-            if not verify_commit(msg1.C0, resp.d0, _blob(resp.pi, resp.t0)):
-                return False
-            if not verify_commit(msg1.C2, resp.d2, resp.t2.to_bytes()):
-                return False
-            return in_image(pub.A, resp.t0 ^ resp.pi.inverse().apply(resp.t2) ^ pub.y)
         if c == 2:
-            if resp.t1 is None or resp.t2 is None:
-                return False
-            if len(resp.t1) != m or len(resp.t2) != m:
-                return False
-            if not verify_commit(msg1.C1, resp.d1, resp.t1.to_bytes()):
-                return False
-            if not verify_commit(msg1.C2, resp.d2, resp.t2.to_bytes()):
-                return False
             return (resp.t1 ^ resp.t2).weight() == w
-        return False
+        t = resp.t0 ^ resp.pi.inverse().apply(resp.t2 if c else resp.t1)
+        return in_image(pub.A, t ^ pub.y if c else t)
     except (ValueError, TypeError, AttributeError):
         return False
 
@@ -244,25 +238,18 @@ def cheat_commit(
     f = BitVec.random(m, rng)
     if unanswerable == 2:
         # consistent with y via a guessed secret, but the error weight is wrong
-        s_fake = BitVec.random(l, rng)
-        e_fake = pub.y ^ mat_vec_mul(pub.A, s_fake)
-        t0 = mat_vec_mul(pub.A, v) ^ f
-        t1 = pi.apply(f)
-        t2 = pi.apply(f ^ e_fake)
-    elif unanswerable == 1:
+        e_fake = pub.y ^ mat_vec_mul(pub.A, BitVec.random(l, rng))
+    elif unanswerable in (0, 1):
         # right weight, but e_fake ignores y entirely
         e_fake = sample_fixed_weight(m, w, rng)
-        t0 = mat_vec_mul(pub.A, v) ^ f
-        t1 = pi.apply(f)
-        t2 = pi.apply(f ^ e_fake)
-    elif unanswerable == 0:
-        # fold y into t0 so the c=1 algebra closes; c=0 is what breaks
-        e_fake = sample_fixed_weight(m, w, rng)
-        t0 = mat_vec_mul(pub.A, v) ^ f ^ pub.y
-        t1 = pi.apply(f ^ e_fake)
-        t2 = pi.apply(f)
     else:
         raise ValueError(f"unanswerable must be 0, 1 or 2, got {unanswerable}")
+    t0 = mat_vec_mul(pub.A, v) ^ f
+    t1 = pi.apply(f)
+    t2 = pi.apply(f ^ e_fake)
+    if unanswerable == 0:
+        # fold y into t0 and swap t1, t2 so the c=1 algebra closes; c=0 is what breaks
+        t0, t1, t2 = t0 ^ pub.y, t2, t1
     return _commit_round(pi, v, f, t0, t1, t2, rng, l_com)
 
 
@@ -301,16 +288,8 @@ def simulate_round(
         t2 = a ^ b
     else:
         raise ValueError(f"challenge must be 0, 1 or 2, got {c}")
-    # the commitment this challenge leaves closed holds a dummy byte
-    (C0, o0), (C1, o1), (C2, o2) = commit_batch(
-        [b"\x00" if t0 is None else _blob(pi, t0),
-         b"\x00" if t1 is None else t1.to_bytes(),
-         b"\x00" if t2 is None else t2.to_bytes()], rng, l_com)
-    msg1 = RoundMessage1(C0, C1, C2)
-    resp = RoundResponse(c, pi, t0, t1, t2,
-                         None if t0 is None else o0.d,
-                         None if t1 is None else o1.d,
-                         None if t2 is None else o2.d)
+    state, msg1 = _commit_round(pi, None, None, t0, t1, t2, rng, l_com)
+    resp = prover_respond(state, challenge)
     accepted = verifier_check_round(pub, msg1, challenge, resp, w)
     return Transcript(msg1, challenge, resp, accepted)
 

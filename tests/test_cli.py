@@ -168,8 +168,10 @@ class TestStatelessCommands:
     def test_bench_smoke(self, capsys):
         assert run("bench", "--stage", "verification", "--seed", "5",
                    "--grid", "150,250", "--reps", "2") == 0
-        out = capsys.readouterr().out
-        assert out.startswith("m,l,seconds") and "slope=" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "m,l,seconds" and lines.count("m,l,seconds") == 1
+        assert [l.split(",")[0] for l in lines[1:3]] == ["150", "250"]
+        assert len(lines) == 4 and lines[3].startswith("slope=")
 
 
 class TestDispatch:

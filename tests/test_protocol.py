@@ -286,6 +286,26 @@ class TestProverRejectsBadWire:
         assert p.done and not p.accepted and p.round == 0
         assert "contradicts" in p.reason
 
+    @pytest.mark.parametrize("accepted", ["no", [0], 1, None],
+                             ids=["string", "list", "int", "null"])
+    @pytest.mark.parametrize("at", ["VALIDITY_RESULT", "ROUND_RESULT", "SESSION_RESULT"])
+    def test_accepted_must_be_a_json_bool(self, at, accepted):
+        p = self.fresh(d=1)
+        bodies = [("VALIDITY_RESULT", {"accepted": True}),
+                  ("CHALLENGE", {"round": 0, "c": 1}),
+                  ("ROUND_RESULT", {"round": 0, "accepted": True}),
+                  ("SESSION_RESULT", {"accepted": True, "rounds_passed": 1})]
+        for seq, (mtype, body) in enumerate(bodies):
+            if mtype == at:
+                body = {**body, "accepted": accepted}
+            out = p.feed(json.dumps({"type": mtype, "session": p.session_id,
+                                     "seq": seq, **body}))
+            if mtype == at:
+                break
+        assert [json.loads(line)["type"] for line in out] == ["ERROR"]
+        assert p.done and not p.accepted
+        assert "must be a boolean" in p.reason
+
     def test_cannot_start_twice(self):
         p = self.fresh()
         from fedzkp.protocol import ProtocolError
@@ -636,7 +656,7 @@ class TestAggregateMemo:
                         assert not out[0]["accepted"] and v.done
                     else:
                         assert self.session(client=k % 3, d=4, seed=100 * i + k).accepted
-            except AssertionError as exc:
+            except Exception as exc:
                 errors.append(exc)
 
         switch = sys.getswitchinterval()

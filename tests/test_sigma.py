@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from fedzkp.gf2 import BitVec, mat_vec_mul, in_image
+from fedzkp.gf2 import BitVec, Permutation, mat_vec_mul, in_image
 from fedzkp.lpn import XlpnParams, gen_instance
 from fedzkp.sigma import (
     Challenge,
@@ -136,16 +136,45 @@ def test_tampered_openings_rejected():
     assert not verifier_check_round(pub, msg1, Challenge(0), bad, SMALL.w)
 
 
-def test_malformed_response_rejects_without_raising():
+# the response fields each challenge opens; the other fields are never read
+OPENED_FIELDS = {0: ("pi", "t0", "t1", "d0", "d1"),
+                 1: ("pi", "t0", "t2", "d0", "d2"),
+                 2: ("t1", "t2", "d1", "d2")}
+
+
+def wrong_length(field):
+    if field == "pi":
+        return Permutation(list(range(5)))
+    return BitVec.zeros(5) if field.startswith("t") else b"\x00" * 5
+
+
+@pytest.fixture(scope="module")
+def round_per_challenge():
     rng = np.random.default_rng(8)
     pub, cred = gen_instance(SMALL, rng)
-    state, msg1, resp = honest_round(pub, cred, 0, rng)
-    assert not verifier_check_round(pub, msg1, Challenge(1), resp, SMALL.w)  # challenge mismatch
-    assert not verifier_check_round(pub, msg1, Challenge(0), replace(resp, pi=None), SMALL.w)
-    assert not verifier_check_round(pub, msg1, Challenge(0), replace(resp, d1=None), SMALL.w)
-    assert not verifier_check_round(pub, msg1, Challenge(0), replace(resp, t0=BitVec.zeros(5)), SMALL.w)
-    state, msg1, resp = honest_round(pub, cred, 2, rng)
-    assert not verifier_check_round(pub, msg1, Challenge(2), replace(resp, t2=None), SMALL.w)
+    return pub, {c: honest_round(pub, cred, c, rng)[1:] for c in (0, 1, 2)}
+
+
+@pytest.mark.parametrize("broken", ["none", "wrong_length"])
+@pytest.mark.parametrize("field", ["pi", "t0", "t1", "t2", "d0", "d1", "d2"])
+@pytest.mark.parametrize("c", [0, 1, 2])
+def test_only_a_broken_opened_field_rejects(round_per_challenge, c, field, broken):
+    pub, rounds = round_per_challenge
+    msg1, resp = rounds[c]
+    bad = replace(resp, **{field: None if broken == "none" else wrong_length(field)})
+    got = verifier_check_round(pub, msg1, Challenge(c), bad, SMALL.w)
+    assert got is (field not in OPENED_FIELDS[c])
+
+
+def test_malformed_response_rejects_without_raising(round_per_challenge):
+    pub, rounds = round_per_challenge
+    for c, (msg1, resp) in rounds.items():
+        assert verifier_check_round(pub, msg1, Challenge(c), resp, SMALL.w) is True
+        for other in {0, 1, 2} - {c}:  # challenge mismatch
+            assert verifier_check_round(pub, msg1, Challenge(other), resp, SMALL.w) is False
+        for out_of_range in (3, -1):  # on both sides
+            bad = replace(resp, c=out_of_range)
+            assert verifier_check_round(pub, msg1, out_of_range, bad, SMALL.w) is False
 
 
 def test_wrong_weight_fails_challenge_two():
