@@ -366,8 +366,10 @@ class VerifierSession(_Session):
 class ProverSession(_Session):
     """Sans-io prover side: owns a credential and argues one aggregate slot.
 
-    The credential is taken on faith here; whether it actually opens the
-    claimed slot comes out in the protocol, not in a local precheck.
+    The constructor does not check that the credential opens the claimed
+    slot.  Each COMMIT does (sigma.prover_commit), so a credential that
+    does not open it raises ValueError out of feed() at the first COMMIT,
+    right after an accepting VALIDITY_RESULT.
     """
 
     peer = "verifier"
@@ -518,7 +520,9 @@ def run_prover_endpoint(host: str, port: int, cred: Credential,
     """Connect, prove, return the verifier's verdict.
 
     Raises TransportError when the connection dies before a verdict;
-    that is an abort, not a rejection.
+    that is an abort, not a rejection.  Raises ValueError at the first
+    COMMIT when the credential does not open the claimed slot; the
+    verifier then sees the connection close, an abort.
     """
     session = ProverSession(cred, agg, params, client, d, rng, l_com)
     try:

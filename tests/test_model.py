@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedzkp import model
 from fedzkp.gf2 import BitVec
 from fedzkp.model import (DetectionReport, EmbeddingConfig, ModelState, accuracy,
                           detection_rate, embed_watermark, extract_from_state,
                           extract_watermark, fedavg, hinge_loss_and_grad,
-                          init_model, local_update, make_blobs, make_embedding,
-                          run_federation)
+                          init_model, local_update, local_updates, make_blobs,
+                          make_embedding, run_federation)
 
 
 def small_setup(omega=256, n=64, seed=0, lam=1.0, mu=0.5, gamma_scale=0.02):
@@ -87,18 +88,37 @@ class TestHingeGradient:
             if case == "none_active":
                 assert loss == 0.0 and not grad.any()
 
+    def test_stacked_rows_equal_their_1d_calls(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            omega = int(rng.integers(8, 300))
+            n = int(rng.integers(2, 200))
+            K = int(rng.integers(1, 6))
+            E = rng.standard_normal((omega, n))
+            h = BitVec.random(n, rng)
+            mu = float(rng.uniform(0.05, 2.0))
+            gammas = 0.1 * rng.standard_normal((K, omega))
+            losses, grads = hinge_loss_and_grad(gammas, E, h, mu)
+            assert losses.shape == (K,) and grads.shape == (K, omega)
+            for k in range(K):
+                loss, grad = hinge_loss_and_grad(gammas[k], E, h, mu)
+                assert isinstance(loss, float)
+                assert abs(losses[k] - loss) <= 1e-12
+                assert np.allclose(grads[k], grad, rtol=0.0, atol=1e-12)
+
     def test_copies_no_part_of_E(self):
         rng = np.random.default_rng(7)
         E = rng.standard_normal((4096, 1024))
         h = BitVec.random(1024, rng)
-        gamma = 0.02 * rng.standard_normal(4096)  # about half the bits active
-        tracemalloc.start()
-        try:
-            hinge_loss_and_grad(gamma, E, h, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < E.nbytes // 16
+        for shape in (4096, (10, 4096)):  # one scale vector, then K=10 stacked
+            gamma = 0.02 * rng.standard_normal(shape)  # about half the bits active
+            tracemalloc.start()
+            try:
+                hinge_loss_and_grad(gamma, E, h, 0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < E.nbytes // 16, shape
 
     def test_shape_validation(self):
         rng = np.random.default_rng(5)
@@ -106,6 +126,10 @@ class TestHingeGradient:
             hinge_loss_and_grad(np.zeros(4), rng.standard_normal((5, 3)), BitVec.zeros(3), 0.5)
         with pytest.raises(ValueError):
             hinge_loss_and_grad(np.zeros(4), rng.standard_normal((4, 3)), BitVec.zeros(7), 0.5)
+        with pytest.raises(ValueError):
+            hinge_loss_and_grad(np.zeros((2, 5)), rng.standard_normal((4, 3)), BitVec.zeros(3), 0.5)
+        with pytest.raises(ValueError):
+            hinge_loss_and_grad(np.zeros((1, 2, 4)), rng.standard_normal((4, 3)), BitVec.zeros(3), 0.5)
 
 
 class TestExtraction:
@@ -162,6 +186,10 @@ class TestEmbedding:
             EmbeddingConfig(E=E, P=P, lam=-0.1, mu_hinge=0.5)
         with pytest.raises(ValueError):
             EmbeddingConfig(E=E, P=P, lam=1.0, mu_hinge=0.0)
+        # P must be distinct integer indices in one dimension
+        for bad in ([0, 0, 1, 2, 3, 4, 5, 6], np.arange(8.0), np.arange(8).reshape(2, 4)):
+            with pytest.raises(ValueError, match="distinct integer"):
+                EmbeddingConfig(E=E, P=np.array(bad), lam=1.0, mu_hinge=0.5)
 
 
 class TestLocalUpdate:
@@ -209,6 +237,43 @@ class TestLocalUpdate:
         X, y = make_blobs(64, rng)
         with pytest.raises(RuntimeError):
             local_update(state, (X, y), h, config, epochs=50, lr=1e14)
+
+
+class TestLocalUpdates:
+    @staticmethod
+    def shards(rng, K, samples=70):
+        return [make_blobs(samples, rng) for _ in range(K)]
+
+    def test_matches_separate_local_update_calls(self):
+        rng, state, h, config = small_setup(omega=256, n=64, seed=30, lam=5.0, gamma_scale=1.0)
+        shards = self.shards(rng, 3)
+        before = state.copy()
+        together = local_updates(state, shards, h, config, epochs=3, lr=0.03)
+        assert len(together) == 3
+        for shard, out in zip(shards, together):
+            alone = local_update(state, shard, h, config, epochs=3, lr=0.03)
+            assert np.allclose(out.theta, alone.theta, rtol=0.0, atol=1e-12)
+            assert np.allclose(out.W_gamma, alone.W_gamma, rtol=0.0, atol=1e-12)
+            assert extract_from_state(out, config) == extract_from_state(alone, config)
+        assert np.array_equal(state.theta, before.theta)
+        assert np.array_equal(state.W_gamma, before.W_gamma)
+
+    def test_unequal_shards_raise(self):
+        rng, state, h, config = small_setup(seed=31)
+        X, y = make_blobs(64, rng)
+        with pytest.raises(ValueError):
+            local_updates(state, [(X, y), (X[:63], y[:63])], h, config, epochs=1)
+        with pytest.raises(ValueError):
+            local_updates(state, [], h, config, epochs=1)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_one_diverging_client_raises(self):
+        rng, state, h, config = small_setup(seed=32)
+        shards = self.shards(rng, 3, samples=64)
+        X, y = shards[1]
+        shards[1] = (X * 1e300, y)
+        with pytest.raises(RuntimeError, match="diverged"):
+            local_updates(state, shards, h, config, epochs=1)
 
 
 class TestFedavg:
@@ -289,6 +354,24 @@ class TestFederation:
         assert np.array_equal(s1.theta, s2.theta)
         assert np.array_equal(s1.W_gamma, s2.W_gamma)
         assert h1 == h2
+
+    def test_one_stacked_hinge_call_per_step(self, monkeypatch):
+        calls = []
+        real = model.hinge_loss_and_grad
+
+        def spy(W_gamma, E, h, mu_hinge):
+            calls.append(W_gamma.shape)
+            return real(W_gamma, E, h, mu_hinge)
+
+        monkeypatch.setattr(model, "hinge_loss_and_grad", spy)
+        rng = np.random.default_rng(26)
+        h = BitVec.random(32, rng)
+        config = make_embedding(128, 32, rng)
+        K, rounds, epochs, samples, batch = 4, 2, 3, 70, 32
+        run_federation(h, K, rounds, epochs, config, rng, omega=128,
+                       samples_per_client=samples, test_samples=50, batch=batch)
+        steps = -(-samples // batch)
+        assert calls == [(K, 128)] * (rounds * epochs * steps)
 
     def test_client_count_validation(self):
         rng = np.random.default_rng(25)

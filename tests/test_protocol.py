@@ -440,6 +440,31 @@ class TestTcpEndpoints:
         assert all(json.loads(l)["type"] for l in lines)
         assert json.loads(lines[-1])["type"] == "SESSION_RESULT"
 
+    def test_a_credential_that_does_not_open_the_slot_raises_at_the_first_commit(self):
+        rng, pairs, agg, wm = make_world(seed=16)
+        port_box = []
+        ready = threading.Event()
+        summaries = []
+
+        def serve():
+            summaries.extend(run_verifier_endpoint(
+                "127.0.0.1", 0, wm.h, ERR_N, 6, np.random.default_rng(17),
+                l_com=L_COM, max_sessions=1, timeout=30.0, ready=ready,
+                port_box=port_box))
+
+        t = threading.Thread(target=serve, daemon=True)
+        t.start()
+        assert ready.wait(10.0)
+        # slot 0's credential argued for slot 1
+        with pytest.raises(ValueError, match="credential does not open"):
+            run_prover_endpoint("127.0.0.1", port_box[0], pairs[0][1], agg, PARAMS, 1, 6,
+                                np.random.default_rng(18), l_com=L_COM)
+        t.join(30.0)
+        assert not t.is_alive()
+        assert len(summaries) == 1
+        assert summaries[0].aborted and not summaries[0].accepted
+        assert summaries[0].rounds_passed == 0
+
     def test_transport_abort_is_not_reject(self):
         rng, pairs, agg, wm = make_world(seed=14)
         port_box = []
