@@ -13,12 +13,14 @@ parenthesized messages flow verifier-to-prover, the rest prover-to-
 verifier.  Every message carries the session id and a per-sender
 sequence number that must strictly increase; round-scoped messages also
 carry the round index.  Anything malformed or out of order draws an
-ERROR reply and closes the session as rejected; a peer's ERROR closes it
-as rejected without a reply.  A settled verdict is final: a line fed
-after it draws an ERROR reply and changes nothing, and a SESSION_RESULT
-that contradicts the rounds the prover saw counts as malformed.  A torn
-connection is an abort, which is deliberately distinct from a reject: it
-says nothing about the credential.
+ERROR reply and closes the session as rejected, including a line json
+cannot parse for its nesting depth or for an integer past Python's digit
+limit; a peer's ERROR closes it as rejected without a reply.  A settled
+verdict is final: a line fed after it draws an ERROR reply and changes
+nothing, and a SESSION_RESULT that contradicts the rounds the prover
+saw counts as malformed.  A torn connection is an abort, which is
+deliberately distinct from a reject: it says nothing about the
+credential.
 
 Both roles are sans-io subclasses of one skeleton, _Session: feed() maps
 one incoming line to a list of outgoing lines, so tests can drive them
@@ -36,6 +38,14 @@ of that AGG_INPUT skips the decode and the hash and reuses the decoded
 slots, so each slot's column elimination runs once per process.  The
 distance against the session's own watermark, the client index and every
 round are still checked per session.
+
+A prover process keeps the hex of the last aggregate it sent: one entry,
+keyed on the aggregate object's identity and equal params (tau is in the
+aggregate's header, so another tau misses).  A repeat claim over the
+same object skips aggregate_to_bytes and the hex encoding, and the
+entry keeps that object alive; aggregates are immutable.  AGG_INPUT is
+joined from the encoded head and the hex rather than passed whole
+through json.dumps, so its bytes are what encoding the message gives.
 """
 from __future__ import annotations
 
@@ -72,6 +82,10 @@ MAX_LINE_BYTES = 64 * 1024 * 1024
 # verifier threads never see half an entry.
 _last_valid: Optional[tuple] = None
 
+# (AggregatedInput, XlpnParams, hex) of the last aggregate a prover in
+# this process sent, or None.  Swapped as one tuple, like _last_valid.
+_last_sent: Optional[tuple] = None
+
 
 class ProtocolError(Exception):
     """Malformed or out-of-order wire data."""
@@ -102,6 +116,8 @@ def _decode(line: str) -> dict:
         msg = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"bad json: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise ProtocolError(f"bad json: {exc}") from None
     if not isinstance(msg, dict):
         raise ProtocolError("message is not an object")
     if msg.get("type") not in ALL_TYPES:
@@ -185,6 +201,16 @@ def encode_aggregate(agg: AggregatedInput, params: XlpnParams) -> dict:
     return {"aggregate": aggregate_to_bytes(agg, params).hex()}
 
 
+def _aggregate_hex(agg: AggregatedInput, params: XlpnParams) -> str:
+    """encode_aggregate's hex, reused while the same object is sent again."""
+    global _last_sent
+    entry = _last_sent
+    if entry is None or entry[0] is not agg or entry[1] != params:
+        entry = (agg, params, encode_aggregate(agg, params)["aggregate"])
+        _last_sent = entry
+    return entry[2]
+
+
 def decode_aggregate(body: dict) -> tuple:
     try:
         return aggregate_from_bytes(_hex_field(body, "aggregate"), "aggregate")
@@ -227,11 +253,19 @@ class _Session:
     def done(self) -> bool:
         return self.state == "DONE"
 
-    def _send(self, mtype: str, body: dict) -> str:
+    def _send(self, mtype: str, body: dict, hex_member: tuple = ()) -> str:
+        """Encode one message; a (key, hex string) `hex_member` is joined on last.
+
+        Hex needs no JSON escaping, so the joined line is what _encode of
+        the whole message would give, without json scanning the hex.
+        """
         msg = {"type": mtype, "session": self.session_id or "?",
                "seq": self._seq_out, **body}
         self._seq_out += 1
         line = _encode(msg)
+        if hex_member:
+            key, text = hex_member
+            line = "".join((line[:-1], ',"', key, '":"', text, '"}'))
         self.transcript.append(line)
         return line
 
@@ -397,7 +431,8 @@ class ProverSession(_Session):
         self.state = "VALIDITY_RESULT"
         return [
             self._send("HELLO", {"client": self.client, "rounds": self.d}),
-            self._send("AGG_INPUT", encode_aggregate(self.agg, self.params)),
+            self._send("AGG_INPUT", {},
+                       ("aggregate", _aggregate_hex(self.agg, self.params))),
         ]
 
     def _step(self, msg: dict) -> list:

@@ -42,6 +42,12 @@ def make_world(seed=0, K=3):
     return rng, pairs, agg, wm
 
 
+# lines json.loads itself fails on outside JSONDecodeError
+DEEP_NESTING = "[" * 100_000  # RecursionError
+HUGE_SEQ = '{"type":"HELLO","session":"s","seq":' + "9" * 5000 + "}"  # int digit limit
+HOSTILE_LINES = ("this is not json\n", DEEP_NESTING, HUGE_SEQ)
+
+
 def flip_hex(text, i):
     """`text` with hex digit i changed, so one byte of the payload differs."""
     return text[:i] + ("1" if text[i] == "0" else "0") + text[i + 1:]
@@ -139,10 +145,12 @@ class TestVerifierRejectsBadWire:
         return VerifierSession(self.wm.h, ERR_N, d=d, rng=self.rng, l_com=L_COM)
 
     def test_garbage_line(self):
-        v = self.fresh()
-        out = v.feed("this is not json\n")
-        assert v.done and not v.accepted
-        assert json.loads(out[0])["type"] == "ERROR"
+        for line in HOSTILE_LINES:
+            v = self.fresh()
+            out = v.feed(line)
+            assert v.done and not v.accepted
+            assert json.loads(out[0])["type"] == "ERROR"
+            assert v.reason.startswith("bad json")
 
     def test_unknown_type(self):
         v = self.fresh()
@@ -240,6 +248,14 @@ class TestProverRejectsBadWire:
                           d=d, rng=self.rng, l_com=L_COM)
         p.start()
         return p
+
+    def test_garbage_line(self):
+        for line in HOSTILE_LINES:
+            p = self.fresh()
+            out = p.feed(line)
+            assert p.done and not p.accepted
+            assert json.loads(out[0])["type"] == "ERROR"
+            assert p.reason.startswith("bad json")
 
     def test_wrong_session_id(self):
         p = self.fresh()
@@ -511,6 +527,33 @@ class TestTcpEndpoints:
         assert not summaries[0].accepted and not summaries[0].aborted
         assert "bad json" in summaries[0].reason
 
+    def test_a_deeply_nested_line_is_rejected_and_the_endpoint_serves_on(self):
+        rng, pairs, agg, wm = make_world(seed=27)
+        port_box = []
+        ready = threading.Event()
+        summaries = []
+
+        def serve():
+            summaries.extend(run_verifier_endpoint(
+                "127.0.0.1", 0, wm.h, ERR_N, 6, np.random.default_rng(28),
+                l_com=L_COM, max_sessions=2, timeout=30.0, ready=ready,
+                port_box=port_box))
+
+        t = threading.Thread(target=serve, daemon=True)
+        t.start()
+        assert ready.wait(10.0)
+        with socket.create_connection(("127.0.0.1", port_box[0]), timeout=10.0) as conn, \
+                conn.makefile("rb") as rd:
+            conn.sendall(DEEP_NESTING.encode() + b"\n")
+            assert json.loads(rd.readline())["type"] == "ERROR"
+        accepted = run_prover_endpoint("127.0.0.1", port_box[0], pairs[1][1], agg,
+                                       PARAMS, 1, 6, np.random.default_rng(29),
+                                       l_com=L_COM)
+        t.join(30.0)
+        assert accepted and not t.is_alive()
+        assert [(s.accepted, s.aborted) for s in summaries] == [(False, False), (True, False)]
+        assert summaries[0].reason.startswith("bad json")
+
 
 class TestBoundedReads:
     """A line without a newline is cut at MAX_LINE_BYTES and rejects the session."""
@@ -720,3 +763,82 @@ class TestAggregateMemo:
         assert verdicts == [True, True] and not t.is_alive()
         assert [s.accepted for s in summaries] == [True, True]
         assert self.calls["decode"] == 1 and self.calls["hash"] == 1
+
+
+class TestAggregateInputLine:
+    """The prover splices one cached hex encoding into AGG_INPUT, unchanged on the wire."""
+
+    @pytest.fixture(autouse=True)
+    def spy(self, monkeypatch):
+        self.rng, self.pairs, self.agg, self.wm = make_world(seed=31)
+        monkeypatch.setattr(protocol, "_last_sent", None)
+        self.encodes = 0
+
+        def counted(agg, params):
+            self.encodes += 1
+            return encode(agg, params)
+
+        encode = protocol.encode_aggregate
+        monkeypatch.setattr(protocol, "encode_aggregate", counted)
+
+    def agg_line(self, agg, params, cred=None):
+        prover = ProverSession(cred or self.pairs[0][1], agg, params, 0, d=4,
+                               rng=self.rng, l_com=L_COM)
+        hello, line = prover.start()
+        assert prover.transcript == [hello, line]
+        return prover, line
+
+    def test_the_line_is_the_encoded_message_cold_and_warm(self):
+        for _ in range(2):
+            prover, line = self.agg_line(self.agg, PARAMS)
+            assert line == protocol._encode({"type": "AGG_INPUT",
+                                             "session": prover.session_id, "seq": 1,
+                                             **encode_aggregate(self.agg, PARAMS)})
+        assert self.encodes == 1
+
+    def test_equal_params_reuse_the_entry(self):
+        self.agg_line(self.agg, PARAMS)
+        self.agg_line(self.agg, XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=PARAMS.tau))
+        assert self.encodes == 1
+
+    def test_no_stale_bytes_across_aggregates_or_tau(self):
+        _, other_pairs, other, _ = make_world(seed=32)
+        worlds = [(self.agg, PARAMS, self.pairs[0][1]), (other, PARAMS, other_pairs[0][1])]
+        third = XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=Fraction(1, 3))
+        worlds += worlds + [(self.agg, third, None), (self.agg, PARAMS, None)]
+        for agg, params, cred in worlds:
+            _, line = self.agg_line(agg, params, cred)
+            doc = json.loads(line)
+            assert doc["aggregate"] == encode_aggregate(agg, params)["aggregate"]
+            assert decode_aggregate(doc)[1] == params
+
+    def test_threads_never_send_another_threads_aggregate(self):
+        _, other_pairs, other, _ = make_world(seed=33)
+        third = XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=Fraction(1, 3))
+        worlds = [(agg, params, cred, encode_aggregate(agg, params)["aggregate"])
+                  for agg, params, cred in ((self.agg, PARAMS, self.pairs[0][1]),
+                                            (other, PARAMS, other_pairs[0][1]),
+                                            (self.agg, third, self.pairs[0][1]))]
+        errors = []
+
+        def worker(i):
+            try:
+                for k in range(12):
+                    agg, params, cred, expected = worlds[(i + k) % 3]
+                    _, line = self.agg_line(agg, params, cred)
+                    assert json.loads(line)["aggregate"] == expected
+            except Exception as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and errors == []

@@ -1,0 +1,91 @@
+"""Property test: feed() never raises on peer input, in any reachable state."""
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from fedzkp.lpn import XlpnParams, gen_instance  # noqa: E402
+from fedzkp.protocol import ProverSession, VerifierSession  # noqa: E402
+from fedzkp.watermark import aggregate, hash_watermark  # noqa: E402
+
+PARAMS = XlpnParams(m=48, l=32, tau=Fraction(1, 4))
+D = 2
+L_COM = 128
+ERR_N = 8
+
+_rng = np.random.default_rng(41)
+PAIRS = [gen_instance(PARAMS, _rng) for _ in range(2)]
+AGG = aggregate([pub for pub, _ in PAIRS])
+WM = hash_watermark(AGG, 64)
+
+STATES = [("prover", s) for s in
+          ("START", "VALIDITY_RESULT", "CHALLENGE", "ROUND_RESULT", "SESSION_RESULT", "DONE")]
+STATES += [("verifier", s) for s in ("HELLO", "AGG_INPUT", "COMMIT", "RESPONSE", "DONE")]
+
+
+def pair():
+    prover = ProverSession(PAIRS[0][1], AGG, PARAMS, 0, D, np.random.default_rng(1), L_COM)
+    verifier = VerifierSession(WM.h, ERR_N, D, np.random.default_rng(2), L_COM)
+    return prover, verifier
+
+
+def session_in(role, state):
+    """A session of `role` that an honest run has brought to `state`."""
+    prover, verifier = pair()
+    target = prover if role == "prover" else verifier
+    pending = [] if target.state == state else [(verifier, x) for x in prover.start()]
+    while target.state != state:
+        to, line = pending.pop(0)
+        peer = prover if to is verifier else verifier
+        pending += [(peer, reply) for reply in to.feed(line)]
+    return target
+
+
+# every message of an honest run, both directions, as the seed of a mutation
+HONEST = [json.loads(line) for line in session_in("verifier", "DONE").transcript]
+HOSTILE = ["[" * 100_000, '{"type":"HELLO","session":"s","seq":' + "9" * 5000 + "}"]
+
+scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+           | st.floats() | st.text(max_size=20))
+json_values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+                           max_leaves=12)
+
+
+@st.composite
+def messages(draw, session):
+    """An honest message addressed to the session as it stands, maybe altered.
+
+    Half of them have the type the session awaits, so they reach its _step.
+    """
+    awaited = [msg for msg in HONEST if msg["type"] == session.state] or HONEST
+    msg = {**draw(st.sampled_from(awaited) | st.sampled_from(HONEST)),
+           "session": session.session_id or "s", "seq": session._seq_in + 1}
+    for key in draw(st.lists(st.sampled_from(sorted(msg)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del msg[key]
+        else:
+            msg[key] = draw(json_values)
+    return json.dumps(msg)
+
+
+JUNK = st.text() | json_values.map(json.dumps) | st.sampled_from(HOSTILE)
+
+
+@pytest.mark.parametrize("role,state", STATES, ids=[f"{r}-{s}" for r, s in STATES])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_feed_never_raises_and_replies_with_json_objects(role, state, data):
+    session = session_in(role, state)
+    settled = session.summary() if session.done else None
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["message", "message", "message", "junk"]))
+        line = data.draw(messages(session) if kind == "message" else JUNK)
+        for reply in session.feed(line):
+            assert isinstance(json.loads(reply), dict)
+    if settled is not None:
+        assert session.summary() == settled
