@@ -281,7 +281,9 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         if self._inv is None:
-            self._inv = Permutation._wrap(np.argsort(self._map))
+            inv = np.empty_like(self._map)
+            inv[self._map] = np.arange(self._map.size)
+            self._inv = Permutation._wrap(inv)
         return self._inv
 
     def to_bytes(self) -> bytes:

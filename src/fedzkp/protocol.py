@@ -1,24 +1,30 @@
 """Wire protocol: the credential proof run between two processes.
 
 One JSON object per line over a byte stream, binary payloads hex-encoded,
-permutations as 32-bit little-endian indices.  AGG_INPUT's one field
-"aggregate" holds the bytes of storage's aggregate.bin; COMMIT digests
-are as long as the verifier's own l_com.  The prover speaks first:
+permutations as 32-bit little-endian indices.  HELLO's "digest" is 32
+bytes of SHAKE-256 over the bytes of storage's aggregate.bin, tau in its
+header included; AGG_INPUT's one field "aggregate" holds those bytes.
+COMMIT digests are as long as the verifier's own l_com.  The prover
+speaks first:
 
-    HELLO -> AGG_INPUT -> (VALIDITY_RESULT) ->
+    HELLO -> [ (AGG_REQUEST) -> AGG_INPUT ] -> (VALIDITY_RESULT) ->
         [ COMMIT -> (CHALLENGE) -> RESPONSE -> (ROUND_RESULT) ] x d
     -> (SESSION_RESULT)
 
 parenthesized messages flow verifier-to-prover, the rest prover-to-
-verifier.  Every message carries the session id and a per-sender
-sequence number that must strictly increase; round-scoped messages also
-carry the round index.  Anything malformed or out of order draws an
-ERROR reply and closes the session as rejected, including a line json
-cannot parse for its nesting depth or for an integer past Python's digit
-limit; a peer's ERROR closes it as rejected without a reply.  A settled
-verdict is final: a line fed after it draws an ERROR reply and changes
-nothing, and a SESSION_RESULT that contradicts the rounds the prover
-saw counts as malformed.  A torn connection is an abort, which is
+verifier.  The verifier asks for the aggregate with AGG_REQUEST only when
+its memo (below) lacks the announced digest; otherwise it answers HELLO
+with VALIDITY_RESULT at once.  Every message carries the session id and a
+per-sender sequence number that must strictly increase; round-scoped
+messages also carry the round index.  Anything malformed or out of order
+draws an ERROR reply and closes the session as rejected, including a
+line json cannot parse for its nesting depth or for an integer past
+Python's digit limit, and AGG_INPUT bytes that do not hash to the HELLO
+digest; a peer's ERROR closes it as rejected without a reply.  Peer text
+quoted in an ERROR or a reason is cut to ECHO_CHARS characters.  A
+settled verdict is final: a line fed after it draws an ERROR reply and
+changes nothing, and a SESSION_RESULT that contradicts the rounds the
+prover saw counts as malformed.  A torn connection is an abort, which is
 deliberately distinct from a reject: it says nothing about the
 credential.
 
@@ -26,29 +32,33 @@ Both roles are sans-io subclasses of one skeleton, _Session: feed() maps
 one incoming line to a list of outgoing lines, so tests can drive them
 without sockets and a transcript is just the lines in order.  The
 skeleton owns the seq, session-id and ERROR handling and the verdict;
-each state is named after the message it awaits, and a role adds only
-its _step.  Both TCP endpoints run a session through one loop, _run.
+each state is named after the message it awaits ("A|B" awaits either),
+and a role adds only its _step.  Both TCP endpoints run a session
+through one loop, _run.
 
 A verifier process keeps the last aggregate that passed validity: one
 entry of K*m*l bytes, with its decoded slots and its hash, never admitted
-on a failed check.  It is keyed on the watermark length and the
-"aggregate" string compared verbatim; a cached key always holds a string
-that decoded, so no value of another JSON type can equal it.  A repeat
-of that AGG_INPUT skips the decode and the hash and reuses the decoded
-slots, so each slot's column elimination runs once per process.  The
-distance against the session's own watermark, the client index and every
-round are still checked per session.
+on a failed check.  It is keyed on the watermark length and the digest
+the verifier computed itself from AGG_INPUT bytes it received; a
+prover's announced digest only selects an entry, it never becomes a key.
+A HELLO that names the cached digest skips the transfer, the decode and
+the hash and reuses the decoded slots, so each slot's column elimination
+runs once per process.  The distance against the session's own
+watermark, the client index and every round are still checked per
+session.
 
-A prover process keeps the hex of the last aggregate it sent: one entry,
-keyed on the aggregate object's identity and equal params (tau is in the
-aggregate's header, so another tau misses).  A repeat claim over the
-same object skips aggregate_to_bytes and the hex encoding, and the
-entry keeps that object alive; aggregates are immutable.  AGG_INPUT is
-joined from the encoded head and the hex rather than passed whole
-through json.dumps, so its bytes are what encoding the message gives.
+A prover process keeps the encoding of the last aggregate it sent: one
+entry holding the digest and the hex, keyed on the aggregate object's
+identity and equal params (tau is in the aggregate's header, so another
+tau misses).  A repeat claim over the same object skips
+aggregate_to_bytes, the hash and the hex encoding, and the entry keeps
+that object alive; aggregates are immutable.  AGG_INPUT is joined from
+the encoded head and the hex rather than passed whole through
+json.dumps, so its bytes are what encoding the message gives.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 from dataclasses import dataclass
@@ -72,18 +82,22 @@ from .storage import aggregate_from_bytes, aggregate_to_bytes
 from .watermark import AggregatedInput, hash_watermark, select_component
 
 PROVER_TYPES = ("HELLO", "AGG_INPUT", "COMMIT", "RESPONSE")
-VERIFIER_TYPES = ("VALIDITY_RESULT", "CHALLENGE", "ROUND_RESULT", "SESSION_RESULT")
+VERIFIER_TYPES = ("AGG_REQUEST", "VALIDITY_RESULT", "CHALLENGE", "ROUND_RESULT",
+                  "SESSION_RESULT")
 ALL_TYPES = PROVER_TYPES + VERIFIER_TYPES + ("ERROR",)
 
 MAX_LINE_BYTES = 64 * 1024 * 1024
+DIGEST_BYTES = 32
+ECHO_CHARS = 64
 
-# (key, AggregatedInput, XlpnParams, HashWatermark) of the last
-# aggregate that passed validity, or None.  Swapped as one tuple, so the
-# verifier threads never see half an entry.
+# ((len(h), digest), AggregatedInput, XlpnParams, HashWatermark) of the
+# last aggregate that passed validity, or None.  Swapped as one tuple, so
+# the verifier threads never see half an entry.
 _last_valid: Optional[tuple] = None
 
-# (AggregatedInput, XlpnParams, hex) of the last aggregate a prover in
-# this process sent, or None.  Swapped as one tuple, like _last_valid.
+# (AggregatedInput, XlpnParams, encode_aggregate's dict) of the last
+# aggregate a prover in this process sent, or None.  Swapped as one
+# tuple, like _last_valid.
 _last_sent: Optional[tuple] = None
 
 
@@ -109,6 +123,11 @@ def _encode(msg: dict) -> str:
     return json.dumps(msg, separators=(",", ":"))
 
 
+def _echo(text: str) -> str:
+    """Peer text as quoted back: at most ECHO_CHARS characters of it."""
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
 def _decode(line: str) -> dict:
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError("line too long")
@@ -121,7 +140,7 @@ def _decode(line: str) -> dict:
     if not isinstance(msg, dict):
         raise ProtocolError("message is not an object")
     if msg.get("type") not in ALL_TYPES:
-        raise ProtocolError(f"unknown message type {msg.get('type')!r}")
+        raise ProtocolError(f"unknown message type {_echo(repr(msg.get('type')))}")
     if not isinstance(msg.get("session"), str):
         raise ProtocolError("missing session id")
     _int_field(msg, "seq")  # bool is an int subclass: "seq": true must not read as 1
@@ -197,23 +216,32 @@ def decode_response(body: dict, m: int) -> RoundResponse:
                          _opt_hex(body, "d0"), _opt_hex(body, "d1"), _opt_hex(body, "d2"))
 
 
+def aggregate_digest(blob: bytes) -> bytes:
+    """The digest HELLO announces for the aggregate.bin bytes `blob`."""
+    return hashlib.shake_256(blob).digest(DIGEST_BYTES)
+
+
 def encode_aggregate(agg: AggregatedInput, params: XlpnParams) -> dict:
-    return {"aggregate": aggregate_to_bytes(agg, params).hex()}
+    """HELLO's "digest" and AGG_INPUT's "aggregate", both hex."""
+    blob = aggregate_to_bytes(agg, params)
+    return {"digest": aggregate_digest(blob).hex(), "aggregate": blob.hex()}
 
 
-def _aggregate_hex(agg: AggregatedInput, params: XlpnParams) -> str:
-    """encode_aggregate's hex, reused while the same object is sent again."""
+def _encoded_aggregate(agg: AggregatedInput, params: XlpnParams) -> dict:
+    """encode_aggregate's dict, reused while the same object is sent again."""
     global _last_sent
     entry = _last_sent
     if entry is None or entry[0] is not agg or entry[1] != params:
-        entry = (agg, params, encode_aggregate(agg, params)["aggregate"])
+        entry = (agg, params, encode_aggregate(agg, params))
         _last_sent = entry
     return entry[2]
 
 
 def decode_aggregate(body: dict) -> tuple:
+    """(digest, aggregate, params) of an AGG_INPUT body, hashing the bytes received."""
+    blob = _hex_field(body, "aggregate")
     try:
-        return aggregate_from_bytes(_hex_field(body, "aggregate"), "aggregate")
+        return (aggregate_digest(blob), *aggregate_from_bytes(blob, "aggregate"))
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -298,9 +326,9 @@ class _Session:
                 raise ProtocolError("session id changed mid-stream")
             mtype = msg["type"]
             if mtype == "ERROR":
-                self._settle(False, f"{self.peer} error: {msg.get('message', '')}")
+                self._settle(False, f"{self.peer} error: {_echo(str(msg.get('message', '')))}")
                 return []
-            if mtype != self.state:
+            if mtype not in self.state.split("|"):
                 raise ProtocolError(f"unexpected {mtype} in state {self.state}")
             return self._step(msg)
         except ProtocolError as exc:
@@ -329,6 +357,7 @@ class VerifierSession(_Session):
             raise ValueError("near-collision threshold out of range")
         self.h = h_extracted
         self.err_n = err_n
+        self._digest: Optional[bytes] = None
         self._pub: Optional[PublicInput] = None
         self._w: Optional[int] = None
         self._msg1: Optional[RoundMessage1] = None
@@ -341,36 +370,21 @@ class VerifierSession(_Session):
             rounds = _int_field(msg, "rounds", lo=1)
             if rounds != self.d:
                 raise ProtocolError(f"verifier runs {self.d} rounds, peer asked {rounds}")
+            self._digest = _hex_field(msg, "digest")
+            if len(self._digest) != DIGEST_BYTES:
+                raise ProtocolError(f"field 'digest' must be {DIGEST_BYTES} bytes")
+            memo = _last_valid
+            if memo is not None and memo[0] == (len(self.h), self._digest):
+                return self._validity(*memo)
             self.state = "AGG_INPUT"
-            return []
+            return [self._send("AGG_REQUEST", {})]
 
         if mtype == "AGG_INPUT":
-            global _last_valid
-            key = (len(self.h), msg.get("aggregate"))
-            memo = _last_valid
-            hit = memo is not None and memo[0] == key
-            if hit:
-                agg, params, fresh = memo[1:]
-            else:
-                agg, params = decode_aggregate(msg)
-            if self.client >= agg.K:
-                raise ProtocolError("client index outside the aggregate")
-            if not hit:
-                fresh = hash_watermark(agg, len(self.h))
-            dist = hamming_distance(self.h, fresh.h)
-            ok = dist < self.err_n
-            if ok and not hit:
-                _last_valid = (key, agg, params, fresh)
-            out = [self._send("VALIDITY_RESULT", {"accepted": ok, "distance": dist})]
-            if not ok:
-                self._settle(False, "aggregate does not match the embedded watermark")
-                out.append(self._send("SESSION_RESULT",
-                                      {"accepted": False, "rounds_passed": 0}))
-                return out
-            self._pub = select_component(agg, self.client)
-            self._w = params.w
-            self.state = "COMMIT"
-            return out
+            digest, agg, params = decode_aggregate(msg)
+            if digest != self._digest:
+                raise ProtocolError("aggregate bytes do not match the HELLO digest "
+                                    + self._digest.hex())
+            return self._validity((len(self.h), digest), agg, params)
 
         self._check_round(msg)
         if mtype == "COMMIT":
@@ -396,6 +410,30 @@ class VerifierSession(_Session):
                               {"accepted": self.accepted, "rounds_passed": self.round}))
         return out
 
+    def _validity(self, key: tuple, agg: AggregatedInput, params: XlpnParams,
+                  fresh=None) -> list:
+        """VALIDITY_RESULT for a memo entry, or for a decoded aggregate
+        (`fresh` None), which becomes the entry under `key` if it passes."""
+        global _last_valid
+        if self.client >= agg.K:
+            raise ProtocolError("client index outside the aggregate")
+        admit = fresh is None
+        if admit:
+            fresh = hash_watermark(agg, len(self.h))
+        dist = hamming_distance(self.h, fresh.h)
+        ok = dist < self.err_n
+        if ok and admit:
+            _last_valid = (key, agg, params, fresh)
+        out = [self._send("VALIDITY_RESULT", {"accepted": ok, "distance": dist})]
+        if not ok:
+            self._settle(False, "aggregate does not match the embedded watermark")
+            out.append(self._send("SESSION_RESULT", {"accepted": False, "rounds_passed": 0}))
+            return out
+        self._pub = select_component(agg, self.client)
+        self._w = params.w
+        self.state = "COMMIT"
+        return out
+
 
 class ProverSession(_Session):
     """Sans-io prover side: owns a credential and argues one aggregate slot.
@@ -418,6 +456,7 @@ class ProverSession(_Session):
         self.agg = agg
         self.params = params
         self.pub = select_component(agg, client)
+        self._encoded: Optional[dict] = None
         self._round_state = None
 
     def _commit(self) -> str:
@@ -428,15 +467,16 @@ class ProverSession(_Session):
     def start(self) -> list:
         if self.state != "START":
             raise ProtocolError("session already started")
-        self.state = "VALIDITY_RESULT"
-        return [
-            self._send("HELLO", {"client": self.client, "rounds": self.d}),
-            self._send("AGG_INPUT", {},
-                       ("aggregate", _aggregate_hex(self.agg, self.params))),
-        ]
+        self._encoded = _encoded_aggregate(self.agg, self.params)
+        self.state = "AGG_REQUEST|VALIDITY_RESULT"
+        return [self._send("HELLO", {"client": self.client, "rounds": self.d,
+                                     "digest": self._encoded["digest"]})]
 
     def _step(self, msg: dict) -> list:
         mtype = msg["type"]
+        if mtype == "AGG_REQUEST":
+            self.state = "VALIDITY_RESULT"
+            return [self._send("AGG_INPUT", {}, ("aggregate", self._encoded["aggregate"]))]
         if mtype == "VALIDITY_RESULT":
             if not _bool_field(msg, "accepted"):
                 self.state = "SESSION_RESULT"

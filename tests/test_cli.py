@@ -5,13 +5,18 @@ asserted directly; the verify pair really does cross a TCP socket.
 """
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedzkp
 from fedzkp.cli import cli_dispatch
 from fedzkp.gf2 import BitVec
 from fedzkp.storage import load_credential, load_watermark, save_watermark
@@ -114,6 +119,45 @@ class TestVerifyOverTcp:
             time.sleep(0.25)
         server.join(timeout=60)
         assert rc == 0 and codes == [0]
+
+    def test_one_verifier_process_serves_two_claims_and_fetches_the_aggregate_once(
+            self, workspace, tmp_path):
+        port = free_port()
+        transcript = tmp_path / "verifier.jsonl"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(fedzkp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])}
+        server = subprocess.Popen(
+            [sys.executable, "-c", "from fedzkp.cli import main; main()", "verify-verifier",
+             "--dir", str(workspace), "--seed", "1", "--listen", f"127.0.0.1:{port}",
+             "--sessions", "2", "--transcript", str(transcript), "--timeout", "60"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            codes = []
+            for client in (0, 2):
+                rc = 3
+                for _ in range(80):  # dial until the listener is up
+                    rc = run("verify-prover", "--dir", str(workspace), "--seed", str(5 + client),
+                             "--connect", f"127.0.0.1:{port}", "--client", str(client))
+                    if rc != 3:
+                        break
+                    time.sleep(0.25)
+                codes.append(rc)
+            out, err = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert codes == [0, 0] and server.returncode == 0, err
+        assert out.count(": accepted") == 2
+        sessions: dict = {}
+        for line in transcript.read_text().splitlines():
+            msg = json.loads(line)
+            sessions.setdefault(msg["session"], []).append(msg["type"])
+        first, second = sessions.values()
+        assert first[:4] == ["HELLO", "AGG_REQUEST", "AGG_INPUT", "VALIDITY_RESULT"]
+        assert second[:2] == ["HELLO", "VALIDITY_RESULT"]
+        assert "AGG_INPUT" not in second and "AGG_REQUEST" not in second
+        assert first[-1] == second[-1] == "SESSION_RESULT"
 
     def test_unreachable_port_is_transport_error(self, workspace):
         assert run("verify-prover", "--dir", str(workspace), "--seed", "2",

@@ -212,6 +212,20 @@ def test_permutation_apply_and_inverse():
     assert pi.inverse().apply(pi.apply(a)) == a
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 48, 800])
+def test_permutation_inverse_matches_an_argsort_oracle(m):
+    rng = np.random.default_rng(203 + m)
+    for pi in (Permutation.random(m, rng), Permutation(rng.permutation(m)),
+               Permutation(np.arange(m)[::-1])):
+        mapping = np.frombuffer(pi.to_bytes(), dtype="<u4")
+        inv = pi.inverse()
+        assert inv == Permutation(np.argsort(mapping))
+        assert inv.to_bytes() == Permutation(np.argsort(mapping)).to_bytes()
+        assert inv is pi.inverse()
+        a = BitVec.random(m, rng)
+        assert inv.apply(pi.apply(a)) == a and pi.apply(inv.apply(a)) == a
+
+
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])

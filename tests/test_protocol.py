@@ -1,4 +1,5 @@
 """Wire protocol tests: sans-io state machines, TCP endpoints, replay."""
+import hashlib
 import json
 import socket
 import struct
@@ -46,6 +47,15 @@ def make_world(seed=0, K=3):
 DEEP_NESTING = "[" * 100_000  # RecursionError
 HUGE_SEQ = '{"type":"HELLO","session":"s","seq":' + "9" * 5000 + "}"  # int digit limit
 HOSTILE_LINES = ("this is not json\n", DEEP_NESTING, HUGE_SEQ)
+ZERO_DIGEST = "00" * 32  # hashes no aggregate here, so a verifier always asks for it
+
+
+def shake(blob):
+    return hashlib.shake_256(blob).hexdigest(32)
+
+
+def types(lines):
+    return [json.loads(line)["type"] for line in lines]
 
 
 def flip_hex(text, i):
@@ -62,6 +72,15 @@ def drive(prover, verifier):
         for reply in replies:
             pending.extend(prover.feed(reply))
     return prover, verifier
+
+
+def open_session(prover, verifier):
+    """HELLO, then AGG_REQUEST and AGG_INPUT if the verifier asks; its VALIDITY_RESULT."""
+    (hello,) = prover.start()
+    replies = verifier.feed(hello)
+    if types(replies) == ["AGG_REQUEST"]:
+        replies = verifier.feed(prover.feed(replies[0])[0])
+    return replies[0]
 
 
 class TestLoopback:
@@ -132,8 +151,10 @@ def test_agg_input_carries_the_aggregate_file_bytes(tmp_path):
     _, _, agg, wm = make_world(seed=2)
     save_aggregate(tmp_path / "aggregate.bin", agg, PARAMS)
     doc = encode_aggregate(agg, PARAMS)
-    assert bytes.fromhex(doc["aggregate"]) == (tmp_path / "aggregate.bin").read_bytes()
-    back, params = decode_aggregate(doc)
+    blob = (tmp_path / "aggregate.bin").read_bytes()
+    assert bytes.fromhex(doc["aggregate"]) == blob and doc["digest"] == shake(blob)
+    digest, back, params = decode_aggregate(doc)
+    assert digest.hex() == doc["digest"]
     assert params == PARAMS and hash_watermark(back, N_BITS) == wm
 
 
@@ -173,7 +194,8 @@ class TestVerifierRejectsBadWire:
 
     def test_prover_error_closes_without_a_reply(self):
         v = self.fresh()
-        v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": 0, "client": 0, "rounds": 4}))
+        v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": 0, "client": 0, "rounds": 4,
+                           "digest": ZERO_DIGEST}))
         out = v.feed(json.dumps({"type": "ERROR", "session": "s", "seq": 1,
                                  "message": "giving up"}))
         assert out == [] and v.done and not v.accepted
@@ -181,8 +203,9 @@ class TestVerifierRejectsBadWire:
 
     def test_sequence_must_increase(self):
         v = self.fresh()
-        hello = {"type": "HELLO", "session": "s", "seq": 5, "client": 0, "rounds": 4}
-        assert v.feed(json.dumps(hello)) == []
+        hello = {"type": "HELLO", "session": "s", "seq": 5, "client": 0, "rounds": 4,
+                 "digest": ZERO_DIGEST}
+        assert types(v.feed(json.dumps(hello))) == ["AGG_REQUEST"]
         out = v.feed(json.dumps({**hello, "type": "AGG_INPUT", "seq": 5}))
         assert v.done and "sequence" in json.loads(out[0])["message"]
 
@@ -192,34 +215,43 @@ class TestVerifierRejectsBadWire:
                                  "client": 0, "rounds": 9}))
         assert v.done and "rounds" in json.loads(out[0])["message"]
 
-    def test_client_index_outside_aggregate(self):
-        prover = ProverSession(self.pairs[0][1], self.agg, PARAMS, 0,
-                               d=4, rng=self.rng, l_com=L_COM)
-        hello, agg_line = prover.start()
+    def prover(self):
+        return ProverSession(self.pairs[0][1], self.agg, PARAMS, 0,
+                             d=4, rng=self.rng, l_com=L_COM)
+
+    def test_client_index_outside_aggregate(self, monkeypatch):
+        self.client_index_outside_aggregate(False, monkeypatch)
+
+    def test_client_index_outside_aggregate_on_a_hit(self, monkeypatch):
+        self.client_index_outside_aggregate(True, monkeypatch)
+
+    def client_index_outside_aggregate(self, warm, monkeypatch):
+        monkeypatch.setattr(protocol, "_last_valid", None)
+        if warm:
+            assert drive(self.prover(), self.fresh())[1].accepted
+        prover = self.prover()
+        (hello,) = prover.start()
         v = self.fresh()
-        v.feed(json.dumps({**json.loads(hello), "client": 17}))
-        out = v.feed(agg_line)
+        out = v.feed(json.dumps({**json.loads(hello), "client": 17}))
+        if not warm:
+            assert types(out) == ["AGG_REQUEST"]
+            out = v.feed(prover.feed(out[0])[0])
         assert v.done and "client index" in json.loads(out[0])["message"]
 
-    def test_bad_hex_in_aggregate(self):
-        prover = ProverSession(self.pairs[0][1], self.agg, PARAMS, 0,
-                               d=4, rng=self.rng, l_com=L_COM)
-        hello, agg_line = prover.start()
-        doc = json.loads(agg_line)
-        doc["aggregate"] = "zz" + doc["aggregate"][2:]
+    def test_bad_hex_in_aggregate(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_last_valid", None)
+        prover = self.prover()
         v = self.fresh()
-        v.feed(hello)
+        request = v.feed(prover.start()[0])
+        doc = json.loads(prover.feed(request[0])[0])
+        doc["aggregate"] = "zz" + doc["aggregate"][2:]
         out = v.feed(json.dumps(doc))
         assert v.done and json.loads(out[0])["type"] == "ERROR"
 
     def test_duplicate_commit_rejected(self):
-        prover = ProverSession(self.pairs[0][1], self.agg, PARAMS, 0,
-                               d=4, rng=self.rng, l_com=L_COM)
+        prover = self.prover()
         v = self.fresh()
-        hello, agg_line = prover.start()
-        v.feed(hello)
-        validity = v.feed(agg_line)
-        commit_line = prover.feed(validity[0])[0]
+        commit_line = prover.feed(open_session(prover, v))[0]
         v.feed(commit_line)
         doc = json.loads(commit_line)
         doc["seq"] += 1
@@ -278,6 +310,21 @@ class TestProverRejectsBadWire:
                                  "seq": 1, "round": 0, "c": 3}))
         assert p.done and json.loads(out[0])["type"] == "ERROR"
 
+    def test_a_second_agg_request_is_unexpected(self):
+        p = self.fresh()
+        request = {"type": "AGG_REQUEST", "session": p.session_id, "seq": 0}
+        assert types(p.feed(json.dumps(request))) == ["AGG_INPUT"]
+        out = p.feed(json.dumps({**request, "seq": 1}))
+        assert p.done and not p.accepted
+        assert "unexpected AGG_REQUEST" in json.loads(out[0])["message"]
+
+    def test_agg_request_after_validity_is_unexpected(self):
+        p = self.fresh()
+        assert types(p.feed(json.dumps({"type": "VALIDITY_RESULT", "session": p.session_id,
+                                        "seq": 0, "accepted": True}))) == ["COMMIT"]
+        out = p.feed(json.dumps({"type": "AGG_REQUEST", "session": p.session_id, "seq": 1}))
+        assert p.done and "unexpected AGG_REQUEST" in json.loads(out[0])["message"]
+
     def test_verifier_error_closes_quietly(self):
         p = self.fresh()
         out = p.feed(json.dumps({"type": "ERROR", "session": p.session_id,
@@ -333,6 +380,35 @@ class TestProverRejectsBadWire:
             ProverSession(self.pairs[0][1], self.agg, PARAMS, 3, d=4, rng=self.rng)
 
 
+class TestEchoedPeerText:
+    """Peer text quoted in an ERROR reply or a reason is cut short."""
+
+    def session(self, role):
+        rng, pairs, agg, wm = make_world(seed=10)
+        if role == "verifier":
+            return VerifierSession(wm.h, ERR_N, d=4, rng=rng, l_com=L_COM)
+        prover = ProverSession(pairs[0][1], agg, PARAMS, 0, d=4, rng=rng, l_com=L_COM)
+        prover.start()
+        return prover
+
+    @pytest.mark.parametrize("role", ["verifier", "prover"])
+    def test_a_huge_type_gives_a_short_reply_and_reason(self, role):
+        session = self.session(role)
+        out = session.feed(json.dumps({"type": "x" * 1_000_000,
+                                       "session": session.session_id or "s", "seq": 0}))
+        assert types(out) == ["ERROR"] and len(out[0]) < 300
+        assert session.done and not session.accepted
+        assert len(session.reason) < 200 and session.reason.startswith("unknown message type 'xxx")
+
+    @pytest.mark.parametrize("role", ["verifier", "prover"])
+    def test_a_huge_peer_error_gives_a_short_reason(self, role):
+        session = self.session(role)
+        out = session.feed(json.dumps({"type": "ERROR", "session": session.session_id or "s",
+                                       "seq": 0, "message": "y" * 1_000_000}))
+        assert out == [] and session.done and not session.accepted
+        assert len(session.reason) < 200 and "yyy" in session.reason
+
+
 class OneBitCommitForger:
     """Credential-less prover that commits with l_com=1 and equivocates.
 
@@ -364,11 +440,14 @@ class OneBitCommitForger:
                 return self._line("RESPONSE", round=self.round, **encode_response(tr.response))
 
     def start(self):
-        return [self._line("HELLO", client=self.client, rounds=self.d),
-                self._line("AGG_INPUT", **encode_aggregate(self.agg, PARAMS))]
+        self.encoded = encode_aggregate(self.agg, PARAMS)
+        return [self._line("HELLO", client=self.client, rounds=self.d,
+                           digest=self.encoded["digest"])]
 
     def feed(self, line):
         msg = json.loads(line)
+        if msg["type"] == "AGG_REQUEST":
+            return [self._line("AGG_INPUT", aggregate=self.encoded["aggregate"])]
         if msg["type"] == "VALIDITY_RESULT" and msg["accepted"]:
             return [self._commit()]
         if msg["type"] == "CHALLENGE":
@@ -397,9 +476,10 @@ class TestWireForgeries:
 
 
 class TestReplay:
-    def test_recorded_session_fails_against_fresh_challenges(self):
+    def test_recorded_session_fails_against_fresh_challenges(self, monkeypatch):
         # a transcript answers one challenge sequence; new randomness asks
         # different questions, so the replay dies in the first few rounds
+        monkeypatch.setattr(protocol, "_last_valid", None)
         rng, pairs, agg, wm = make_world(seed=9)
         d = 20
         prover = ProverSession(pairs[0][1], agg, PARAMS, 0, d=d, rng=rng, l_com=L_COM)
@@ -418,9 +498,12 @@ class TestReplay:
             for line in recorded:
                 if fresh.done:
                     break
+                if json.loads(line)["type"] == "AGG_INPUT" and fresh.state != "AGG_INPUT":
+                    continue  # the memo holds the aggregate: the verifier did not ask
                 fresh.feed(line)
             if not fresh.accepted:
                 rejections += 1
+                assert fresh.reason.startswith("round ")
         # accept probability is (1/3)^d; at d=20 a single acceptance in 40
         # trials would be a one-in-eighty-billion event
         assert rejections == trials
@@ -500,7 +583,8 @@ class TestTcpEndpoints:
         # dial in, say hello, then hang up mid-session
         with socket.create_connection(("127.0.0.1", port_box[0]), timeout=10.0) as conn:
             conn.sendall((json.dumps({"type": "HELLO", "session": "x", "seq": 0,
-                                      "client": 0, "rounds": 6}) + "\n").encode())
+                                      "client": 0, "rounds": 6,
+                                      "digest": ZERO_DIGEST}) + "\n").encode())
         t.join(30.0)
         assert len(summaries) == 1
         assert summaries[0].aborted and not summaries[0].accepted
@@ -590,7 +674,7 @@ class TestBoundedReads:
             def fake_verifier():
                 conn, _ = srv.accept()
                 with conn, conn.makefile("rb") as rd:
-                    rd.readline(), rd.readline()  # HELLO, AGG_INPUT
+                    rd.readline()  # HELLO
                     conn.sendall(b"x" * 1024)
                     replies.append(rd.readline())
 
@@ -661,11 +745,29 @@ class TestAggregateMemo:
                                    rng=np.random.default_rng(seed + 1), l_com=L_COM)
         return drive(prover, verifier)[1]
 
-    def feed_aggregate(self, doc):
+    def feed_aggregate(self, doc, digest=None):
+        """A verifier fed a HELLO that announces `digest` and then the AGG_INPUT `doc`.
+
+        By default the digest is that of doc's bytes, or one no aggregate
+        has when they are not hex; either way the verifier must ask.
+        """
+        if digest is None:
+            try:
+                digest = shake(bytes.fromhex(doc["aggregate"]))
+            except (TypeError, ValueError):
+                digest = ZERO_DIGEST
         v = VerifierSession(self.wm.h, ERR_N, d=4, rng=self.rng, l_com=L_COM)
-        v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": 0,
-                           "client": 0, "rounds": 4}))
+        request = v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": 0,
+                                     "client": 0, "rounds": 4, "digest": digest}))
+        assert types(request) == ["AGG_REQUEST"]
         out = v.feed(json.dumps({"type": "AGG_INPUT", "session": "s", "seq": 1, **doc}))
+        return v, [json.loads(line) for line in out]
+
+    def hello(self, digest, client=0):
+        """A fresh verifier and its replies to a HELLO that announces `digest`."""
+        v = VerifierSession(self.wm.h, ERR_N, d=4, rng=self.rng, l_com=L_COM)
+        out = v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": 0,
+                                 "client": client, "rounds": 4, "digest": digest}))
         return v, [json.loads(line) for line in out]
 
     def test_two_sessions_decode_hash_and_eliminate_once(self):
@@ -685,16 +787,15 @@ class TestAggregateMemo:
 
     def test_bad_hex_is_rejected_with_a_warm_memo(self):
         assert self.session().accepted
-        doc = encode_aggregate(self.agg, PARAMS)
-        doc["aggregate"] = doc["aggregate"][:-2] + "zz"
-        v, out = self.feed_aggregate(doc)
+        text = encode_aggregate(self.agg, PARAMS)["aggregate"]
+        v, out = self.feed_aggregate({"aggregate": text[:-2] + "zz"})
         assert v.done and out[0]["type"] == "ERROR" and "hex" in out[0]["message"]
 
     def test_an_altered_aggregate_fails_and_leaves_the_entry(self):
         assert self.session().accepted
         entry = protocol._last_valid
-        doc = encode_aggregate(self.agg, PARAMS)
-        doc["aggregate"] = flip_hex(doc["aggregate"], 2 * HEADER_BYTES)  # part 0's A
+        text = encode_aggregate(self.agg, PARAMS)["aggregate"]
+        doc = {"aggregate": flip_hex(text, 2 * HEADER_BYTES)}  # part 0's A
         v, out = self.feed_aggregate(doc)
         assert out[0]["type"] == "VALIDITY_RESULT" and not out[0]["accepted"]
         assert v.done and not v.accepted
@@ -706,9 +807,81 @@ class TestAggregateMemo:
         cold = [self.session(client=c, seed=50 + c) for c in range(3)]
         warm = [self.session(client=c, seed=50 + c) for c in range(3)]
         assert self.calls["decode"] == 1
+        transfers = [types(v.transcript).count(t) for v in cold + warm
+                     for t in ("AGG_REQUEST", "AGG_INPUT")]
+        assert transfers == [1, 1] + [0, 0] * 5
         for a, b in zip(cold, warm):
-            assert a.transcript == b.transcript
             assert a.summary() == b.summary() and a.accepted
+        assert [a.transcript for a in cold[1:]] == [b.transcript for b in warm[1:]]
+
+        # the miss differs only by its two transfer lines and the seq shift they cause
+        def rest(lines):
+            return [{k: v for k, v in json.loads(line).items() if k != "seq"}
+                    for line in lines if json.loads(line)["type"] not in ("AGG_REQUEST",
+                                                                          "AGG_INPUT")]
+        assert rest(cold[0].transcript) == rest(warm[0].transcript)
+
+    def test_a_hit_sends_no_aggregate(self):
+        assert self.session().accepted
+        prover = ProverSession(self.pairs[1][1], self.agg, PARAMS, 1, d=8,
+                               rng=np.random.default_rng(60), l_com=L_COM)
+        verifier = VerifierSession(self.wm.h, ERR_N, d=8, rng=np.random.default_rng(61),
+                                   l_com=L_COM)
+        drive(prover, verifier)
+        assert verifier.accepted and prover.accepted
+        assert types(prover.transcript)[:3] == ["HELLO", "VALIDITY_RESULT", "COMMIT"]
+        assert not {"AGG_REQUEST", "AGG_INPUT"} & set(types(prover.transcript))
+        assert self.calls == {"decode": 1, "hash": 1, "basis": 1}
+
+    def test_a_miss_requests_the_aggregate_and_keys_on_its_own_digest(self):
+        v = self.session()
+        assert v.accepted
+        assert types(v.transcript)[:5] == ["HELLO", "AGG_REQUEST", "AGG_INPUT",
+                                           "VALIDITY_RESULT", "COMMIT"]
+        blob = bytes.fromhex(json.loads(v.transcript[2])["aggregate"])
+        assert json.loads(v.transcript[0])["digest"] == shake(blob)
+        assert protocol._last_valid[0] == (N_BITS, hashlib.shake_256(blob).digest(32))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bytes_unlike_the_digest_are_rejected(self, warm):
+        genuine = encode_aggregate(self.agg, PARAMS)
+        third = encode_aggregate(self.agg, XlpnParams(m=PARAMS.m, l=PARAMS.l,
+                                                      tau=Fraction(1, 3)))
+        # the same parts under another tau: only the header differs
+        head = 2 * HEADER_BYTES
+        assert third["aggregate"][:head] != genuine["aggregate"][:head]
+        assert third["aggregate"][head:] == genuine["aggregate"][head:]
+        if warm:
+            assert self.session().accepted
+        entry = protocol._last_valid
+        announced, sent = (third, genuine) if warm else (genuine, third)
+        v, out = self.feed_aggregate({"aggregate": sent["aggregate"]}, announced["digest"])
+        assert [m["type"] for m in out] == ["ERROR"]
+        assert "digest" in out[0]["message"] and announced["digest"] in out[0]["message"]
+        assert v.done and not v.accepted and "digest" in v.reason
+        assert protocol._last_valid is entry
+
+    @pytest.mark.parametrize("digest", [None, "ab" * 31, "ab" * 33, "zz" * 32, 17,
+                                        ["00" * 32]],
+                             ids=["missing", "short", "long", "not_hex", "number", "list"])
+    def test_a_malformed_digest_draws_an_error(self, digest):
+        assert self.session().accepted
+        entry = protocol._last_valid
+        v, out = self.hello(digest)
+        assert [m["type"] for m in out] == ["ERROR"] and "digest" in out[0]["message"]
+        assert v.done and not v.accepted
+        assert protocol._last_valid is entry
+
+    def test_an_unsolicited_agg_input_after_a_hit_is_an_error(self):
+        assert self.session().accepted
+        genuine = encode_aggregate(self.agg, PARAMS)
+        v, out = self.hello(genuine["digest"])
+        assert [m["type"] for m in out] == ["VALIDITY_RESULT"] and out[0]["accepted"]
+        out = v.feed(json.dumps({"type": "AGG_INPUT", "session": "s", "seq": 1,
+                                 "aggregate": genuine["aggregate"]}))
+        assert types(out) == ["ERROR"] and "unexpected AGG_INPUT" in json.loads(out[0])["message"]
+        assert v.done and not v.accepted
+        assert self.calls["decode"] == 1
 
     def test_threads_share_the_entry_without_a_wrong_verdict(self):
         genuine = encode_aggregate(self.agg, PARAMS)
@@ -739,9 +912,9 @@ class TestAggregateMemo:
         finally:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert protocol._last_valid[0][1] == genuine["aggregate"]
+        assert protocol._last_valid[0] == (N_BITS, bytes.fromhex(genuine["digest"]))
 
-    def test_two_sessions_through_one_endpoint(self):
+    def test_two_sessions_through_one_endpoint(self, tmp_path):
         port_box = []
         ready = threading.Event()
         summaries = []
@@ -750,7 +923,7 @@ class TestAggregateMemo:
             summaries.extend(run_verifier_endpoint(
                 "127.0.0.1", 0, self.wm.h, ERR_N, 6, np.random.default_rng(25),
                 l_com=L_COM, max_sessions=2, timeout=30.0, ready=ready,
-                port_box=port_box))
+                transcript_path=tmp_path / "verifier.jsonl", port_box=port_box))
 
         t = threading.Thread(target=serve, daemon=True)
         t.start()
@@ -763,10 +936,13 @@ class TestAggregateMemo:
         assert verdicts == [True, True] and not t.is_alive()
         assert [s.accepted for s in summaries] == [True, True]
         assert self.calls["decode"] == 1 and self.calls["hash"] == 1
+        lines = (tmp_path / "verifier.jsonl").read_text().splitlines()
+        assert types(lines).count("AGG_INPUT") == 1
 
 
 class TestAggregateInputLine:
-    """The prover splices one cached hex encoding into AGG_INPUT, unchanged on the wire."""
+    """The prover takes HELLO's digest and AGG_INPUT's hex from one cached encoding;
+    the AGG_INPUT line is what encoding the whole message gives."""
 
     @pytest.fixture(autouse=True)
     def spy(self, monkeypatch):
@@ -784,16 +960,20 @@ class TestAggregateInputLine:
     def agg_line(self, agg, params, cred=None):
         prover = ProverSession(cred or self.pairs[0][1], agg, params, 0, d=4,
                                rng=self.rng, l_com=L_COM)
-        hello, line = prover.start()
-        assert prover.transcript == [hello, line]
+        (hello,) = prover.start()
+        (line,) = prover.feed(json.dumps({"type": "AGG_REQUEST",
+                                          "session": prover.session_id, "seq": 0}))
+        assert types(prover.transcript) == ["HELLO", "AGG_REQUEST", "AGG_INPUT"]
+        assert prover.transcript[::2] == [hello, line]
+        assert json.loads(hello)["digest"] == shake(bytes.fromhex(json.loads(line)["aggregate"]))
         return prover, line
 
     def test_the_line_is_the_encoded_message_cold_and_warm(self):
         for _ in range(2):
             prover, line = self.agg_line(self.agg, PARAMS)
-            assert line == protocol._encode({"type": "AGG_INPUT",
-                                             "session": prover.session_id, "seq": 1,
-                                             **encode_aggregate(self.agg, PARAMS)})
+            assert line == protocol._encode({
+                "type": "AGG_INPUT", "session": prover.session_id, "seq": 1,
+                "aggregate": encode_aggregate(self.agg, PARAMS)["aggregate"]})
         assert self.encodes == 1
 
     def test_equal_params_reuse_the_entry(self):
@@ -810,7 +990,7 @@ class TestAggregateInputLine:
             _, line = self.agg_line(agg, params, cred)
             doc = json.loads(line)
             assert doc["aggregate"] == encode_aggregate(agg, params)["aggregate"]
-            assert decode_aggregate(doc)[1] == params
+            assert decode_aggregate(doc)[2] == params
 
     def test_threads_never_send_another_threads_aggregate(self):
         _, other_pairs, other, _ = make_world(seed=33)
