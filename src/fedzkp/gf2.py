@@ -8,8 +8,9 @@ operation regardless of height.
 
 Serialization convention used by every module downstream: bits pack 8 per
 byte, most significant bit first within each byte; a matrix serializes
-row-major as one continuous bit stream, zero-padded to a byte boundary at
-the end.  Length headers, when a format needs them, are the caller's job.
+row-major as one continuous bit stream, and a permutation as its indices
+of ceil(log2 m) bits each, both zero-padded to a byte boundary at the
+end.  Length headers, when a format needs them, are the caller's job.
 
 All values are immutable after construction and safe to share across
 threads.  Nothing here is constant-time; this is research code, not
@@ -25,6 +26,7 @@ __all__ = [
     "BitVec",
     "BitMatrix",
     "Permutation",
+    "index_bits",
     "mat_vec_mul",
     "solve_linear",
     "in_image",
@@ -236,24 +238,25 @@ class BitMatrix:
 class Permutation:
     """Bijection on {0..m-1}; input position i lands at position map[i]."""
 
-    __slots__ = ("_map", "_inv")
+    __slots__ = ("_map", "_inv", "_bytes")
 
     def __init__(self, mapping):
         arr = np.array(mapping, dtype=np.int64, copy=True)
         if arr.ndim != 1:
             raise ValueError("permutation map must be one-dimensional")
-        if not np.array_equal(np.sort(arr), np.arange(arr.size)):
-            raise ValueError("not a bijection on 0..m-1")
+        _check_bijection(arr)
         arr.flags.writeable = False
         self._map = arr
         self._inv = None
+        self._bytes = None
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Permutation":
+    def _wrap(cls, arr: np.ndarray, data: Optional[bytes] = None) -> "Permutation":
         p = object.__new__(cls)
         arr.flags.writeable = False
         p._map = arr
         p._inv = None
+        p._bytes = data
         return p
 
     @classmethod
@@ -287,15 +290,54 @@ class Permutation:
         return self._inv
 
     def to_bytes(self) -> bytes:
-        """Each index as 32-bit little-endian, in domain order."""
-        return self._map.astype("<u4").tobytes()
+        """Each index in index_bits(m) bits, MSB-first, in domain order,
+        zero-padded to a byte boundary only at the end.
+
+        Packed once and cached, like inverse(); a permutation read by
+        from_bytes keeps the bytes it was read from.
+        """
+        if self._bytes is None:
+            # shift each index to the top of a big-endian word, keep its top b bits
+            b = index_bits(self._map.size)
+            words = (self._map << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
+            self._bytes = np.packbits(np.unpackbits(words, axis=1, count=b)).tobytes()
+        return self._bytes
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Permutation":
-        if len(data) % 4:
-            raise ValueError("permutation encoding must be a multiple of 4 bytes")
-        arr = np.frombuffer(data, dtype="<u4").astype(np.int64)
-        return cls(arr)
+    def from_bytes(cls, data: bytes, m: int) -> "Permutation":
+        """Inverse of to_bytes for a permutation on {0..m-1}.
+
+        Rejects a wrong length, nonzero padding bits, an index >= m and a
+        repeated index, so every permutation has exactly one encoding.
+        """
+        b = index_bits(m)
+        if len(data) != (m * b + 7) // 8:
+            raise ValueError(f"expected {(m * b + 7) // 8} bytes for a permutation "
+                             f"on {m} points, got {len(data)}")
+        full = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        if full[m * b:].any():
+            raise ValueError("nonzero padding bits")
+        # a float product is exact below 2**53 and runs in BLAS
+        weights = np.ldexp(1.0, np.arange(b - 1, -1, -1))
+        arr = (full[:m * b].reshape(m, b) @ weights).astype(np.int64)
+        _check_bijection(arr)
+        return cls._wrap(arr, bytes(data))
+
+
+def index_bits(m: int) -> int:
+    """Bits per index in Permutation.to_bytes: ceil(log2 m), 0 for m <= 1."""
+    return max(m - 1, 0).bit_length()
+
+
+def _check_bijection(arr: np.ndarray) -> None:
+    # m indices, each in range and each hit once, are a bijection on 0..m-1
+    m = arr.size
+    if m and (int(arr.min()) < 0 or int(arr.max()) >= m):
+        raise ValueError(f"index out of range for a permutation on {m} points")
+    seen = np.zeros(m, dtype=bool)
+    seen[arr] = True
+    if not seen.all():
+        raise ValueError("repeated index: not a bijection on 0..m-1")
 
 
 def mat_vec_mul(A: BitMatrix, x: BitVec) -> BitVec:

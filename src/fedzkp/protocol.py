@@ -1,11 +1,12 @@
 """Wire protocol: the credential proof run between two processes.
 
 One JSON object per line over a byte stream, binary payloads hex-encoded,
-permutations as 32-bit little-endian indices.  HELLO's "digest" is 32
-bytes of SHAKE-256 over the bytes of storage's aggregate.bin, tau in its
-header included; AGG_INPUT's one field "aggregate" holds those bytes.
-COMMIT digests are as long as the verifier's own l_com.  The prover
-speaks first:
+a permutation on m points as its gf2 encoding, each index in
+ceil(log2 m) bits (1,000 bytes at m=800), read back with the verifier's
+own m.  HELLO's "digest" is 32 bytes of SHAKE-256 over the bytes of
+storage's aggregate.bin, tau in its header included; AGG_INPUT's one
+field "aggregate" holds those bytes.  COMMIT digests are as long as the
+verifier's own l_com.  The prover speaks first:
 
     HELLO -> [ (AGG_REQUEST) -> AGG_INPUT ] -> (VALIDITY_RESULT) ->
         [ COMMIT -> (CHALLENGE) -> RESPONSE -> (ROUND_RESULT) ] x d
@@ -207,7 +208,7 @@ def decode_response(body: dict, m: int) -> RoundResponse:
     c = _int_field(body, "c", lo=0, hi=2)
     pi_raw = _opt_hex(body, "pi")
     try:
-        pi = None if pi_raw is None else Permutation.from_bytes(pi_raw)
+        pi = None if pi_raw is None else Permutation.from_bytes(pi_raw, m)
         ts = [None if (raw := _opt_hex(body, k)) is None else BitVec.from_bytes(raw, m)
               for k in ("t0", "t1", "t2")]
     except ValueError as exc:

@@ -105,7 +105,7 @@ def _payloads(pi, t0, t1, t2) -> tuple:
 
 
 def _blob(*values) -> bytes:
-    # committed bytes: pi's indices, then each t bit-packed
+    # committed bytes: pi packed at ceil(log2 m) bits per index, then each t bit-packed
     return b"".join(v.to_bytes() for v in values)
 
 

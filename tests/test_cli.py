@@ -31,6 +31,12 @@ def run(*argv) -> int:
     return cli_dispatch(list(argv))
 
 
+def source_env() -> dict:
+    """The environment with this fedzkp first on PYTHONPATH, for a subprocess."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(fedzkp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """init + keygen + aggregate + train, shared by the whole module."""
@@ -124,13 +130,11 @@ class TestVerifyOverTcp:
             self, workspace, tmp_path):
         port = free_port()
         transcript = tmp_path / "verifier.jsonl"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(fedzkp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])}
         server = subprocess.Popen(
-            [sys.executable, "-c", "from fedzkp.cli import main; main()", "verify-verifier",
+            [sys.executable, "-m", "fedzkp.cli", "verify-verifier",
              "--dir", str(workspace), "--seed", "1", "--listen", f"127.0.0.1:{port}",
              "--sessions", "2", "--transcript", str(transcript), "--timeout", "60"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
             codes = []
             for client in (0, 2):
@@ -234,6 +238,14 @@ class TestDispatch:
     def test_missing_workspace_is_runtime_error(self, tmp_path, capsys):
         assert run("check", "--dir", str(tmp_path / "absent"), "--client", "0") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedzkp.cli", "verify-verifier",
+             "--dir", str(tmp_path / "absent"), "--listen", "127.0.0.1:1"],
+            env=source_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "error:" in proc.stderr
 
     def test_env_seed_reproduces_keys(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDZKP_SEED", "31")

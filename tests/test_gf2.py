@@ -8,6 +8,7 @@ from fedzkp.gf2 import (
     Permutation,
     hamming_distance,
     in_image,
+    index_bits,
     mat_vec_mul,
     sample_fixed_weight,
     solve_linear,
@@ -212,12 +213,33 @@ def test_permutation_apply_and_inverse():
     assert pi.inverse().apply(pi.apply(a)) == a
 
 
+def index_width(m):
+    # oracle for ceil(log2 m) by counting doublings; 0 for m <= 1
+    b = 0
+    while (1 << b) < m:
+        b += 1
+    return b
+
+
+def pack_indices(indices, b):
+    """Oracle encoding: each index as b binary digits, MSB-first, zero-padded at the end."""
+    bits = "".join(format(int(i), f"0{b}b") for i in indices) if b else ""
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[k:k + 8], 2) for k in range(0, len(bits), 8))
+
+
+def unpack_indices(data, m):
+    b = index_width(m)
+    bits = "".join(format(byte, "08b") for byte in data)
+    return [int(bits[i * b:(i + 1) * b], 2) if b else 0 for i in range(m)]
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 48, 800])
 def test_permutation_inverse_matches_an_argsort_oracle(m):
     rng = np.random.default_rng(203 + m)
     for pi in (Permutation.random(m, rng), Permutation(rng.permutation(m)),
                Permutation(np.arange(m)[::-1])):
-        mapping = np.frombuffer(pi.to_bytes(), dtype="<u4")
+        mapping = unpack_indices(pi.to_bytes(), m)
         inv = pi.inverse()
         assert inv == Permutation(np.argsort(mapping))
         assert inv.to_bytes() == Permutation(np.argsort(mapping)).to_bytes()
@@ -227,10 +249,9 @@ def test_permutation_inverse_matches_an_argsort_oracle(m):
 
 
 def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
-    with pytest.raises(ValueError):
-        Permutation([0, 2])
+    for bad in ([0, 0, 1], [0, 2], [-1, 0], [0, 1, 5]):
+        with pytest.raises(ValueError):
+            Permutation(bad)
 
 
 def test_permutation_preserves_weight_and_is_linear():
@@ -244,8 +265,38 @@ def test_permutation_preserves_weight_and_is_linear():
 
 
 def test_permutation_bytes_roundtrip():
+    # m=4, two bits per index: 11 01 00 10
     pi = Permutation([3, 1, 0, 2])
-    assert pi.to_bytes() == bytes([3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0])
-    assert Permutation.from_bytes(pi.to_bytes()) == pi
+    assert pi.to_bytes() == bytes([0b11010010])
+    assert Permutation.from_bytes(pi.to_bytes(), 4) == pi
+    rng = np.random.default_rng(205)
+    for m in (1, 2, 3, 4, 5, 255, 256, 257, 800, 1024, 1025):  # every bit-width edge
+        b = index_width(m)
+        assert index_bits(m) == b
+        mapping = rng.permutation(m)
+        for pi in (Permutation.random(m, rng), Permutation(mapping),
+                   Permutation(np.arange(m)[::-1])):
+            data = pi.to_bytes()
+            assert len(data) == -(-m * b // 8)
+            back = Permutation.from_bytes(data, m)
+            assert back == pi and back.to_bytes() is data and pi.to_bytes() is data
+        assert Permutation(mapping).to_bytes() == pack_indices(mapping, b)
+    assert len(Permutation.random(800, rng).to_bytes()) == 1000
+
+
+@pytest.mark.parametrize("m", [3, 5, 50, 257])  # each encoding ends in padding bits
+def test_permutation_from_bytes_rejects_malformed_input(m):
+    b = index_width(m)
+    good = pack_indices(range(m), b)
+    assert m * b % 8 and Permutation.from_bytes(good, m) == Permutation(range(m))
+    for data, reason in (
+            (good[:-1], "expected"),
+            (good + b"\x00", "expected"),
+            (good[:-1] + bytes([good[-1] | 1]), "padding"),
+            (pack_indices([m] + list(range(1, m)), b), "out of range"),
+            (pack_indices([1] + list(range(1, m)), b), "repeated")):
+        with pytest.raises(ValueError, match=reason):
+            Permutation.from_bytes(data, m)
     with pytest.raises(ValueError):
-        Permutation.from_bytes(b"\x00\x00\x00")
+        Permutation.from_bytes(b"\x00", 1)
+    assert Permutation.from_bytes(b"", 1) == Permutation([0])

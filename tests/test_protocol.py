@@ -35,9 +35,9 @@ ERR_N = 8
 L_COM = 128
 
 
-def make_world(seed=0, K=3):
+def make_world(seed=0, K=3, params=PARAMS):
     rng = np.random.default_rng(seed)
-    pairs = [gen_instance(PARAMS, rng) for _ in range(K)]
+    pairs = [gen_instance(params, rng) for _ in range(K)]
     agg = aggregate([pub for pub, _ in pairs])
     wm = hash_watermark(agg, N_BITS)
     return rng, pairs, agg, wm
@@ -72,6 +72,18 @@ def drive(prover, verifier):
         for reply in replies:
             pending.extend(prover.feed(reply))
     return prover, verifier
+
+
+def repack_pi(text, m, edit):
+    """Hex of a pi encoding with its indices passed through `edit`, packed again."""
+    b = (m - 1).bit_length()
+    raw = bytes.fromhex(text)
+    pad = len(raw) * 8 - m * b
+    v = int.from_bytes(raw, "big") >> pad
+    v_new = 0
+    for i in edit([(v >> (b * (m - 1 - k))) & ((1 << b) - 1) for k in range(m)]):
+        v_new = (v_new << b) | i
+    return (v_new << pad).to_bytes(len(raw), "big").hex()
 
 
 def open_session(prover, verifier):
@@ -257,6 +269,45 @@ class TestVerifierRejectsBadWire:
         doc["seq"] += 1
         out = v.feed(json.dumps(doc))  # same round again, now out of state
         assert v.done and "unexpected" in json.loads(out[0])["message"]
+
+    def pi_response(self, params, monkeypatch):
+        """A verifier whose next line is the RESPONSE `doc`, which opens pi."""
+        monkeypatch.setattr(protocol, "_last_valid", None)
+        rng, pairs, agg, wm = make_world(seed=7, params=params)
+        prover = ProverSession(pairs[0][1], agg, params, 0, d=8, rng=rng, l_com=L_COM)
+        v = VerifierSession(wm.h, ERR_N, d=8, rng=rng, l_com=L_COM)
+        (commit,) = prover.feed(open_session(prover, v))
+        while True:
+            (response,) = prover.feed(v.feed(commit)[0])
+            doc = json.loads(response)
+            if "pi" in doc:
+                return v, doc
+            (commit,) = prover.feed(v.feed(response)[0])
+
+    def test_an_honest_pi_takes_ceil_log2_m_bits_per_index(self, monkeypatch):
+        v, doc = self.pi_response(PARAMS, monkeypatch)  # m=48: 6 bits, 36 bytes
+        assert len(doc["pi"]) == 72
+        assert types(v.feed(json.dumps(doc))) == ["ROUND_RESULT"] and not v.done
+
+    @pytest.mark.parametrize("case, reason", [
+        ("padding bit", "padding"), ("index >= m", "out of range"),
+        ("repeated index", "repeated"), ("short", "expected 38 bytes"),
+        ("long", "expected 38 bytes")])
+    def test_a_malformed_pi_draws_an_error(self, case, reason, monkeypatch):
+        params = XlpnParams(m=50, l=32, tau=Fraction(1, 4))  # 300 bits of indices, 4 of padding
+        v, doc = self.pi_response(params, monkeypatch)
+        pi = doc["pi"]
+        assert len(pi) == 76 and repack_pi(pi, 50, lambda idx: idx) == pi
+        doc["pi"] = {
+            "padding bit": pi[:-1] + format(int(pi[-1], 16) | 1, "x"),
+            "index >= m": repack_pi(pi, 50, lambda idx: [50] + idx[1:]),
+            "repeated index": repack_pi(pi, 50, lambda idx: idx[:1] * 2 + idx[2:]),
+            "short": pi[:-2],
+            "long": pi + "00",
+        }[case]
+        out = v.feed(json.dumps(doc))
+        assert types(out) == ["ERROR"]
+        assert v.done and not v.accepted and reason in v.reason
 
     def test_feeding_a_closed_session(self):
         v = self.fresh()
