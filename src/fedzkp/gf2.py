@@ -18,6 +18,7 @@ production cryptography.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -68,7 +69,7 @@ class BitVec:
     def _wrap(cls, arr: np.ndarray) -> "BitVec":
         # fast path for internal results: takes ownership, skips validation
         vec = object.__new__(cls)
-        arr.flags.writeable = False
+        arr.setflags(write=False)  # about half the cost of arr.flags.writeable = False
         vec._bits = arr
         return vec
 
@@ -147,7 +148,7 @@ class BitMatrix:
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "BitMatrix":
         mat = object.__new__(cls)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         mat._a = arr
         mat._basis = None
         return mat
@@ -253,7 +254,7 @@ class Permutation:
     @classmethod
     def _wrap(cls, arr: np.ndarray, data: Optional[bytes] = None) -> "Permutation":
         p = object.__new__(cls)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         p._map = arr
         p._inv = None
         p._bytes = data
@@ -297,10 +298,15 @@ class Permutation:
         from_bytes keeps the bytes it was read from.
         """
         if self._bytes is None:
-            # shift each index to the top of a big-endian word, keep its top b bits
             b = index_bits(self._map.size)
-            words = (self._map << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
-            self._bytes = np.packbits(np.unpackbits(words, axis=1, count=b)).tobytes()
+            if b <= _TABLE_BITS:
+                # one gather of each index's digits, about twice as fast as unpacking words
+                bits = _index_digits(b).take(self._map, axis=0)
+            else:
+                # shift each index to the top of a big-endian word, keep its top b bits
+                words = (self._map << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
+                bits = np.unpackbits(words, axis=1, count=b)
+            self._bytes = np.packbits(bits).tobytes()
         return self._bytes
 
     @classmethod
@@ -322,6 +328,19 @@ class Permutation:
         arr = (full[:m * b].reshape(m, b) @ weights).astype(np.int64)
         _check_bijection(arr)
         return cls._wrap(arr, bytes(data))
+
+
+# widths up to this pack through a (2**b, b) digit table: 1 MB at most
+_TABLE_BITS = 16
+
+
+@lru_cache(maxsize=None)
+def _index_digits(b: int) -> np.ndarray:
+    # row k holds the b binary digits of k, MSB first
+    words = np.arange(1 << b, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    digits = np.unpackbits(words, axis=1)[:, 32 - b:].copy()
+    digits.setflags(write=False)
+    return digits
 
 
 def index_bits(m: int) -> int:
