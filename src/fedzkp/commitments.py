@@ -19,13 +19,13 @@ DEFAULT_COMMIT_BITS = 800
 OPENING_BYTES = 32
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Commitment:
     c: bytes
     l_com: int = DEFAULT_COMMIT_BITS
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Opening:
     d: bytes
     m: bytes

@@ -18,7 +18,6 @@ production cryptography.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "BitVec",
     "BitMatrix",
     "Permutation",
-    "index_bits",
     "mat_vec_mul",
     "solve_linear",
     "in_image",
@@ -69,7 +67,7 @@ class BitVec:
     def _wrap(cls, arr: np.ndarray) -> "BitVec":
         # fast path for internal results: takes ownership, skips validation
         vec = object.__new__(cls)
-        arr.setflags(write=False)  # about half the cost of arr.flags.writeable = False
+        arr.flags.writeable = False
         vec._bits = arr
         return vec
 
@@ -148,7 +146,7 @@ class BitMatrix:
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "BitMatrix":
         mat = object.__new__(cls)
-        arr.setflags(write=False)
+        arr.flags.writeable = False
         mat._a = arr
         mat._basis = None
         return mat
@@ -254,7 +252,7 @@ class Permutation:
     @classmethod
     def _wrap(cls, arr: np.ndarray, data: Optional[bytes] = None) -> "Permutation":
         p = object.__new__(cls)
-        arr.setflags(write=False)
+        arr.flags.writeable = False
         p._map = arr
         p._inv = None
         p._bytes = data
@@ -291,22 +289,17 @@ class Permutation:
         return self._inv
 
     def to_bytes(self) -> bytes:
-        """Each index in index_bits(m) bits, MSB-first, in domain order,
+        """Each index in ceil(log2 m) bits, MSB-first, in domain order,
         zero-padded to a byte boundary only at the end.
 
         Packed once and cached, like inverse(); a permutation read by
         from_bytes keeps the bytes it was read from.
         """
         if self._bytes is None:
-            b = index_bits(self._map.size)
-            if b <= _TABLE_BITS:
-                # one gather of each index's digits, about twice as fast as unpacking words
-                bits = _index_digits(b).take(self._map, axis=0)
-            else:
-                # shift each index to the top of a big-endian word, keep its top b bits
-                words = (self._map << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
-                bits = np.unpackbits(words, axis=1, count=b)
-            self._bytes = np.packbits(bits).tobytes()
+            # shift each index to the top of a big-endian word, keep its top b bits
+            b = _index_bits(self._map.size)
+            words = (self._map << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
+            self._bytes = np.packbits(np.unpackbits(words, axis=1, count=b)).tobytes()
         return self._bytes
 
     @classmethod
@@ -316,7 +309,7 @@ class Permutation:
         Rejects a wrong length, nonzero padding bits, an index >= m and a
         repeated index, so every permutation has exactly one encoding.
         """
-        b = index_bits(m)
+        b = _index_bits(m)
         if len(data) != (m * b + 7) // 8:
             raise ValueError(f"expected {(m * b + 7) // 8} bytes for a permutation "
                              f"on {m} points, got {len(data)}")
@@ -330,20 +323,7 @@ class Permutation:
         return cls._wrap(arr, bytes(data))
 
 
-# widths up to this pack through a (2**b, b) digit table: 1 MB at most
-_TABLE_BITS = 16
-
-
-@lru_cache(maxsize=None)
-def _index_digits(b: int) -> np.ndarray:
-    # row k holds the b binary digits of k, MSB first
-    words = np.arange(1 << b, dtype=">u4").view(np.uint8).reshape(-1, 4)
-    digits = np.unpackbits(words, axis=1)[:, 32 - b:].copy()
-    digits.setflags(write=False)
-    return digits
-
-
-def index_bits(m: int) -> int:
+def _index_bits(m: int) -> int:
     """Bits per index in Permutation.to_bytes: ceil(log2 m), 0 for m <= 1."""
     return max(m - 1, 0).bit_length()
 

@@ -46,14 +46,14 @@ class ExtractionError(Exception):
     """Witness extraction failed: transcripts inconsistent or system unsolvable."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RoundMessage1:
     C0: Commitment
     C1: Commitment
     C2: Commitment
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Challenge:
     c: int
 
@@ -62,7 +62,7 @@ class Challenge:
             raise ValueError(f"challenge must be 0, 1 or 2, got {self.c}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RoundResponse:
     """Partial opening; fields not prescribed by the challenge stay None."""
 
@@ -76,7 +76,7 @@ class RoundResponse:
     d2: Optional[bytes]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Transcript:
     msg1: RoundMessage1
     challenge: Challenge
@@ -84,7 +84,7 @@ class Transcript:
     accepted: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ProverRoundState:
     """Everything the prover must remember between commit and response."""
 
@@ -127,20 +127,16 @@ def prover_commit(
 ) -> tuple[ProverRoundState, RoundMessage1]:
     """First prover move: blind the credential and commit."""
     m, l = pub.A.rows, pub.A.cols
-    e = cred.e.bits
-    if len(cred.s) != l or e.size != m or len(pub.y) != m:
+    if len(cred.s) != l or len(cred.e) != m or len(pub.y) != m:
         raise ValueError("credential dimensions do not match the public input")
-    # Between the two products the round works on the raw 0/1 arrays: at
-    # m=200 the products are a quarter of a round, the rest is per-call cost.
-    if (mat_vec_mul(pub.A, cred.s).bits ^ e ^ pub.y.bits).any():
+    if mat_vec_mul(pub.A, cred.s) ^ cred.e != pub.y:
         raise ValueError("credential does not open the public input")
     pi = Permutation.random(m, rng)
     vf = rng.integers(0, 2, size=l + m, dtype=np.uint8)
-    wrap = BitVec._wrap
-    v, f = wrap(vf[:l]), wrap(vf[l:])
-    t0 = wrap(mat_vec_mul(pub.A, v).bits ^ f.bits)
+    v, f = BitVec._wrap(vf[:l].copy()), BitVec._wrap(vf[l:].copy())
+    t0 = mat_vec_mul(pub.A, v) ^ f
     t1 = pi.apply(f)
-    t2 = pi.apply(wrap(f.bits ^ e))
+    t2 = pi.apply(f ^ cred.e)
     return _commit_round(pi, v, f, t0, t1, t2, rng, l_com)
 
 
