@@ -11,7 +11,7 @@ Subpackage map:
     gf2          dense GF(2) vectors/matrices, solving, permutations
     lpn          noisy linear credential instances
     commitments  hash-based commitments used inside the proof
-    sigma        the 3-message proof round, sessions, simulator, extractor
+    sigma        the 3-message proof round, cheating prover, simulator, extractor
     watermark    aggregation, hashing, client and validity checks
     bounds       exact combinatorial security estimates
     model        toy federated network with embedded sign watermarks

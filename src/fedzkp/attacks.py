@@ -27,7 +27,7 @@ from .lpn import XlpnParams, gen_instance
 from .model import (DEFAULT_BATCH, DEFAULT_LR, DetectionReport, EmbeddingConfig,
                     ModelState, accuracy, detection_rate, extract_from_state,
                     local_update)
-from .sigma import (cheat_commit, prover_respond, run_session,
+from .sigma import (cheat_commit, prover_commit, prover_respond,
                     verifier_challenge, verifier_check_round)
 from .watermark import AggregatedInput, aggregate, hash_watermark
 
@@ -167,15 +167,23 @@ def bruteforce_near_collision(
     return None
 
 
-def _cheat_session(pub, w, d: int, l_com: int, rng: np.random.Generator, log: list) -> bool:
-    """Prover without a witness: sacrifice one challenge per round."""
+def _play(pub, cred, d: int, params: GameParams, rng: np.random.Generator,
+          log: list, who: str) -> bool:
+    """d rounds against the verifier's check at the game's own w.
+
+    A prover that holds `cred` commits honestly; without one (None) it
+    sacrifices one challenge per round.  The first rejected round ends
+    the session, as it ends a wire session.
+    """
+    w = params.xlpn.w
     for rnd in range(d):
-        unanswerable = int(rng.integers(0, 3))
-        st, msg1 = cheat_commit(pub, w, unanswerable, rng, l_com)
+        if cred is None:
+            state, msg1 = cheat_commit(pub, w, int(rng.integers(0, 3)), rng, params.l_com)
+        else:
+            state, msg1 = prover_commit(pub, cred, rng, params.l_com)
         ch = verifier_challenge(rng)
-        resp = prover_respond(st, ch)
-        ok = verifier_check_round(pub, msg1, ch, resp, w)
-        log.append(f"cheat round {rnd}: sacrificed {unanswerable} challenged {ch.c} -> {ok}")
+        ok = verifier_check_round(pub, msg1, ch, prover_respond(state, ch), w)
+        log.append(f"{who} round {rnd}: challenged {ch.c} -> {ok}")
         if not ok:
             return False
     return True
@@ -215,7 +223,7 @@ def run_security_game(
     # but the game runs them so the adversary's view matches the model
     for j, parts in enumerate(creds):
         pub, cred = parts[0]
-        ok, _ = run_session(pub, cred, d, rng, params.l_com)
+        ok = _play(pub, cred, d, params, rng, log, f"observed session {j}")
         log.append(f"phase: observed honest session {j} -> {ok}")
 
     won1 = bruteforce_near_collision(watermarks, k, params.xlpn, rng,
@@ -224,14 +232,11 @@ def run_security_game(
 
     won2 = False
     if not won1:
-        w = params.xlpn.w
         for j, parts in enumerate(creds):
             pub, cred = parts[0]
-            if adversary_knows_witness:
-                ok, _ = run_session(pub, cred, d, rng, params.l_com)
-                log.append(f"challenge 2 (control, session {j}): {ok}")
-            else:
-                ok = _cheat_session(pub, w, d, params.l_com, rng, log)
+            ok = _play(pub, cred if adversary_knows_witness else None, d, params, rng,
+                       log, f"challenge 2 session {j}")
+            log.append(f"challenge 2 (session {j}): {ok}")
             if ok:
                 won2 = True
                 break

@@ -60,7 +60,11 @@ def compute_err_n(n: int, p_r) -> int:
 
 
 def detection_rate_floor(n: int, err_n: int) -> Fraction:
-    """Worst-case surviving fraction of watermark bits still counted as valid."""
+    """r_n = 1 - err_n/n, the detection rate at which validity starts to fail.
+
+    The verifier accepts fewer than err_n wrong bits, so a mark must keep
+    more than r_n of its bits; one at exactly r_n is rejected.
+    """
     if not 0 <= err_n <= n:
         raise ValueError(f"err_n {err_n} out of range for n={n}")
     return 1 - Fraction(err_n, n)

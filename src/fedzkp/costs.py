@@ -6,7 +6,8 @@ own credential material and the per-round working values (memory), and
 the two parties exchange the aggregate plus d rounds of commitments and
 openings (communication).  The response term carries a factor 2/3
 because only two of the three challenge values open a permutation-sized
-response; the permutation itself is billed at 32 bits per entry.
+response.  An opened round is billed 32 + 3*l bits, so the permutation
+costs 32 bits in all, whatever m is, not 32 bits per entry.
 """
 from __future__ import annotations
 

@@ -76,10 +76,6 @@ class BitVec:
         return cls._wrap(np.zeros(n, dtype=np.uint8))
 
     @classmethod
-    def ones(cls, n: int) -> "BitVec":
-        return cls._wrap(np.ones(n, dtype=np.uint8))
-
-    @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitVec":
         return cls._wrap(rng.integers(0, 2, size=n, dtype=np.uint8))
 
@@ -152,14 +148,6 @@ class BitMatrix:
         return mat
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls._wrap(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def zeros(cls, m: int, l: int) -> "BitMatrix":
-        return cls._wrap(np.zeros((m, l), dtype=np.uint8))
-
-    @classmethod
     def random(cls, m: int, l: int, rng: np.random.Generator) -> "BitMatrix":
         return cls._wrap(rng.integers(0, 2, size=(m, l), dtype=np.uint8))
 
@@ -174,12 +162,6 @@ class BitMatrix:
     @property
     def cols(self) -> int:
         return self._a.shape[1]
-
-    def row(self, i: int) -> BitVec:
-        return BitVec._wrap(self._a[i].copy())
-
-    def col(self, j: int) -> BitVec:
-        return BitVec._wrap(self._a[:, j].copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):

@@ -45,10 +45,6 @@ class XlpnParams:
             raise ValueError(f"tau must lie in [0, 1/2), got {self.tau}")
         object.__setattr__(self, "w", exact_weight(self.m, self.tau))
 
-    @classmethod
-    def default(cls) -> "XlpnParams":
-        return cls(m=800, l=700, tau=Fraction(1, 4))
-
 
 @dataclass(frozen=True)
 class Credential:
@@ -74,14 +70,3 @@ def gen_instance(params: XlpnParams, rng: np.random.Generator) -> tuple[PublicIn
     e = sample_fixed_weight(params.m, params.w, rng)
     y = mat_vec_mul(A, s) ^ e
     return PublicInput(A, y), Credential(s, e)
-
-
-def validate_instance(pub: PublicInput, cred: Credential, params: XlpnParams) -> bool:
-    """True iff y = A @ s xor e and e has weight exactly w."""
-    if pub.A.rows != params.m or pub.A.cols != params.l:
-        raise ValueError(f"matrix is {pub.A.rows}x{pub.A.cols}, params say {params.m}x{params.l}")
-    if len(pub.y) != params.m or len(cred.s) != params.l or len(cred.e) != params.m:
-        raise ValueError("vector lengths do not match params")
-    if cred.e.weight() != params.w:
-        return False
-    return mat_vec_mul(pub.A, cred.s) ^ cred.e == pub.y

@@ -291,25 +291,6 @@ def local_update(
     return local_updates(state, [shard], h, config, epochs, lr=lr, batch=batch)[0]
 
 
-def embed_watermark(
-    state: ModelState,
-    h: BitVec,
-    config: EmbeddingConfig,
-    max_steps: int = 400,
-    lr: float = 0.05,
-) -> ModelState:
-    """Data-free embedding: hinge-only steps until every margin is met."""
-    out = state.copy()
-    gamma = out.W_gamma
-    scale = config.lam / len(h)
-    for _ in range(max_steps):
-        loss, grad = hinge_loss_and_grad(gamma[config.P], config.E, h, config.mu_hinge)
-        if loss == 0.0:
-            break
-        gamma[config.P] -= lr * scale * grad
-    return out
-
-
 def fedavg(states: list, lambdas=None) -> ModelState:
     """Weighted parameter average; client weights must sum to the client count."""
     if not states:

@@ -53,9 +53,7 @@ entry holding the digest and the hex, keyed on the aggregate object's
 identity and equal params (tau is in the aggregate's header, so another
 tau misses).  A repeat claim over the same object skips
 aggregate_to_bytes, the hash and the hex encoding, and the entry keeps
-that object alive; aggregates are immutable.  AGG_INPUT is joined from
-the encoded head and the hex rather than passed whole through
-json.dumps, so its bytes are what encoding the message gives.
+that object alive; aggregates are immutable.
 """
 from __future__ import annotations
 
@@ -68,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .commitments import DEFAULT_COMMIT_BITS, Commitment
-from .gf2 import BitVec, Permutation, hamming_distance
+from .gf2 import BitVec, Permutation
 from .lpn import Credential, PublicInput, XlpnParams
 from .sigma import (
     Challenge,
@@ -80,7 +78,7 @@ from .sigma import (
     verifier_check_round,
 )
 from .storage import aggregate_from_bytes, aggregate_to_bytes
-from .watermark import AggregatedInput, hash_watermark, select_component
+from .watermark import AggregatedInput, hash_watermark, select_component, validity
 
 PROVER_TYPES = ("HELLO", "AGG_INPUT", "COMMIT", "RESPONSE")
 VERIFIER_TYPES = ("AGG_REQUEST", "VALIDITY_RESULT", "CHALLENGE", "ROUND_RESULT",
@@ -282,19 +280,11 @@ class _Session:
     def done(self) -> bool:
         return self.state == "DONE"
 
-    def _send(self, mtype: str, body: dict, hex_member: tuple = ()) -> str:
-        """Encode one message; a (key, hex string) `hex_member` is joined on last.
-
-        Hex needs no JSON escaping, so the joined line is what _encode of
-        the whole message would give, without json scanning the hex.
-        """
+    def _send(self, mtype: str, body: dict) -> str:
         msg = {"type": mtype, "session": self.session_id or "?",
                "seq": self._seq_out, **body}
         self._seq_out += 1
         line = _encode(msg)
-        if hex_member:
-            key, text = hex_member
-            line = "".join((line[:-1], ',"', key, '":"', text, '"}'))
         self.transcript.append(line)
         return line
 
@@ -354,8 +344,10 @@ class VerifierSession(_Session):
     def __init__(self, h_extracted: BitVec, err_n: int, d: int,
                  rng: np.random.Generator, l_com: int = DEFAULT_COMMIT_BITS):
         super().__init__(d, rng, l_com, "HELLO")
-        if not 0 <= err_n <= len(h_extracted):
-            raise ValueError("near-collision threshold out of range")
+        # validity accepts distance < err_n, so err_n = 0 could never accept
+        if not 1 <= err_n <= len(h_extracted):
+            raise ValueError(f"err_n {err_n} out of range 1..{len(h_extracted)}: "
+                             "a valid aggregate lies fewer than err_n bits away")
         self.h = h_extracted
         self.err_n = err_n
         self._digest: Optional[bytes] = None
@@ -421,8 +413,7 @@ class VerifierSession(_Session):
         admit = fresh is None
         if admit:
             fresh = hash_watermark(agg, len(self.h))
-        dist = hamming_distance(self.h, fresh.h)
-        ok = dist < self.err_n
+        ok, dist = validity(self.h, fresh, self.err_n)
         if ok and admit:
             _last_valid = (key, agg, params, fresh)
         out = [self._send("VALIDITY_RESULT", {"accepted": ok, "distance": dist})]
@@ -477,7 +468,7 @@ class ProverSession(_Session):
         mtype = msg["type"]
         if mtype == "AGG_REQUEST":
             self.state = "VALIDITY_RESULT"
-            return [self._send("AGG_INPUT", {}, ("aggregate", self._encoded["aggregate"]))]
+            return [self._send("AGG_INPUT", {"aggregate": self._encoded["aggregate"]})]
         if mtype == "VALIDITY_RESULT":
             if not _bool_field(msg, "accepted"):
                 self.state = "SESSION_RESULT"
@@ -578,13 +569,14 @@ def run_verifier_endpoint(host: str, port: int, h_extracted: BitVec, err_n: int,
         if ready is not None:
             ready.set()
         for _ in range(max_sessions):
+            # built before the wait, so a bad err_n or d raises at once
+            session = VerifierSession(h_extracted, err_n, d, rng, l_com)
             try:
                 conn, _addr = srv.accept()
             except socket.timeout:
                 break
             conn.settimeout(timeout)
-            summaries.append(_run(VerifierSession(h_extracted, err_n, d, rng, l_com),
-                                  conn, transcript_path))
+            summaries.append(_run(session, conn, transcript_path))
     return summaries
 
 

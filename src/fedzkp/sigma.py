@@ -186,39 +186,6 @@ def verifier_check_round(
         return False
 
 
-def run_session(
-    pub: PublicInput,
-    cred: Credential,
-    d: int,
-    rng: np.random.Generator,
-    l_com: int = DEFAULT_COMMIT_BITS,
-) -> tuple[bool, list[Transcript]]:
-    """d independent rounds between an in-process prover and verifier.
-
-    Accepts only if every round accepts.  The round weight the verifier
-    enforces is the credential's error weight, which all honest parties
-    share through the public parameters.
-    """
-    if d < 1:
-        raise ValueError("need at least one round")
-    w = cred.e.weight()
-    transcripts = []
-    ok = True
-    for _ in range(d):
-        state, msg1 = prover_commit(pub, cred, rng, l_com)
-        ch = verifier_challenge(rng)
-        resp = prover_respond(state, ch)
-        accepted = verifier_check_round(pub, msg1, ch, resp, w)
-        ok = ok and accepted
-        transcripts.append(Transcript(msg1, ch, resp, accepted))
-    return ok, transcripts
-
-
-def knowledge_error(d: int) -> float:
-    """Soundness error after d rounds."""
-    return (2.0 / 3.0) ** d
-
-
 def cheat_commit(
     pub: PublicInput,
     w: int,

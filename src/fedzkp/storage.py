@@ -215,13 +215,3 @@ def save_history(path: PathLike, history) -> None:
         writer.writerow(["round", "r", "accuracy"])
         for rec in history:
             writer.writerow([rec.round, f"{rec.report.r:.6f}", f"{rec.accuracy:.6f}"])
-
-
-def load_history(path: PathLike) -> list:
-    """Rows come back as (round, r, accuracy) tuples, not full records."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["round", "r", "accuracy"]:
-            raise ValueError("unrecognized history header")
-        return [(int(a), float(b), float(c)) for a, b, c in reader]

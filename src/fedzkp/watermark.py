@@ -117,15 +117,11 @@ def client_check(h: HashWatermark, agg: AggregatedInput, own: PublicInput, K: in
     return CheckResult(True)
 
 
-def validity_check(h_extracted: BitVec, agg: AggregatedInput, err_n: int) -> bool:
-    """True iff the extracted watermark near-collides with the recomputed hash.
+def validity(h_extracted: BitVec, wm: HashWatermark, err_n: int) -> tuple[bool, int]:
+    """(accepted, distance) of the extracted watermark against the aggregate's hash.
 
-    Strictly fewer than err_n differing bits counts as valid.
+    Strictly fewer than err_n differing bits is valid, so distance err_n
+    is rejected; the verifier range-checks err_n once, when it is built.
     """
-    n = len(h_extracted)
-    if n < 1:
-        raise ValueError("extracted watermark is empty")
-    if not 0 <= err_n <= n:
-        raise ValueError(f"err_n {err_n} out of range for n={n}")
-    fresh = hash_watermark(agg, n)
-    return hamming_distance(h_extracted, fresh.h) < err_n
+    dist = hamming_distance(h_extracted, wm.h)
+    return dist < err_n, dist

@@ -163,6 +163,17 @@ class TestVerifyOverTcp:
         assert "AGG_INPUT" not in second and "AGG_REQUEST" not in second
         assert first[-1] == second[-1] == "SESSION_RESULT"
 
+    def test_a_zero_err_n_is_refused_before_listening(self, workspace, tmp_path, capsys):
+        # n=64 at p_r=2^-64 gives err_n = 0, at which no aggregate could pass
+        for name in ("embedding.json", "checkpoint.bin"):
+            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+        params = json.loads((workspace / "params.json").read_text())
+        (tmp_path / "params.json").write_text(json.dumps({**params, "p_r": "2^-64"}))
+        assert run("verify-verifier", "--dir", str(tmp_path), "--seed", "1",
+                   "--listen", "127.0.0.1:0", "--timeout", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "err_n 0" in err
+
     def test_unreachable_port_is_transport_error(self, workspace):
         assert run("verify-prover", "--dir", str(workspace), "--seed", "2",
                    "--connect", f"127.0.0.1:{free_port()}", "--client", "0") == 3

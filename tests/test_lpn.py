@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedzkp.gf2 import BitVec, mat_vec_mul, sample_fixed_weight
-from fedzkp.lpn import Credential, PublicInput, XlpnParams, exact_weight, gen_instance, validate_instance
+from fedzkp.gf2 import mat_vec_mul
+from fedzkp.lpn import XlpnParams, exact_weight, gen_instance
 
 
 def test_weight_rounds_half_up():
@@ -18,7 +18,7 @@ def test_weight_rounds_half_up():
 def test_params_validation_and_float_tau():
     p = XlpnParams(m=8, l=4, tau=0.25)
     assert p.tau == Fraction(1, 4) and p.w == 2
-    assert XlpnParams.default().w == 200
+    assert XlpnParams(m=800, l=700, tau=Fraction(1, 4)).w == 200
     # recommended secret length from the write-up's parameter discussion
     assert XlpnParams(m=600, l=512, tau=Fraction(1, 4)).w == 150
     with pytest.raises(ValueError):
@@ -37,7 +37,6 @@ def test_gen_instance_small():
     assert pub.A.rank() == 4
     # oracle recomputation of y
     assert pub.y == mat_vec_mul(pub.A, cred.s) ^ cred.e
-    assert validate_instance(pub, cred, params)
 
 
 def test_tau_zero_is_noiseless():
@@ -46,30 +45,6 @@ def test_tau_zero_is_noiseless():
     pub, cred = gen_instance(params, rng)
     assert cred.e.weight() == 0
     assert pub.y == mat_vec_mul(pub.A, cred.s)
-
-
-def test_validate_rejects_tampering():
-    rng = np.random.default_rng(2)
-    params = XlpnParams(m=12, l=8, tau=Fraction(1, 4))
-    pub, cred = gen_instance(params, rng)
-
-    y_flip = pub.y ^ BitVec([1] + [0] * 11)
-    assert not validate_instance(PublicInput(pub.A, y_flip), cred, params)
-
-    # heavier error with y recomputed still fails, on the weight check alone
-    e_heavy = sample_fixed_weight(12, params.w + 1, rng)
-    y_heavy = mat_vec_mul(pub.A, cred.s) ^ e_heavy
-    assert not validate_instance(PublicInput(pub.A, y_heavy), Credential(cred.s, e_heavy), params)
-
-
-def test_validate_dimension_errors():
-    rng = np.random.default_rng(3)
-    params = XlpnParams(m=12, l=8, tau=Fraction(1, 4))
-    pub, cred = gen_instance(params, rng)
-    with pytest.raises(ValueError):
-        validate_instance(pub, cred, XlpnParams(m=16, l=8, tau=Fraction(1, 4)))
-    with pytest.raises(ValueError):
-        validate_instance(pub, Credential(BitVec.zeros(9), cred.e), params)
 
 
 def test_repeated_draws_weight_and_rank():
@@ -83,9 +58,11 @@ def test_repeated_draws_weight_and_rank():
 
 def test_defaults_round_trip_validate():
     rng = np.random.default_rng(5)
-    params = XlpnParams.default()
+    params = XlpnParams(m=800, l=700, tau=Fraction(1, 4))
     pub, cred = gen_instance(params, rng)
-    assert validate_instance(pub, cred, params)
+    assert (pub.A.rows, pub.A.cols, len(cred.s)) == (800, 700, 700)
+    assert cred.e.weight() == params.w == 200
+    assert pub.y == mat_vec_mul(pub.A, cred.s) ^ cred.e
 
 
 def test_rank_resample_limit_errors():

@@ -7,7 +7,7 @@ import pytest
 from fedzkp import model
 from fedzkp.gf2 import BitVec
 from fedzkp.model import (DetectionReport, EmbeddingConfig, ModelState, accuracy,
-                          detection_rate, embed_watermark, extract_from_state,
+                          detection_rate, extract_from_state,
                           extract_watermark, fedavg, hinge_loss_and_grad,
                           init_model, local_update, local_updates, make_blobs,
                           make_embedding, run_federation)
@@ -156,10 +156,16 @@ class TestExtraction:
             detection_rate(h, BitVec.zeros(5))
 
 
+def embed_data_free(state, h, config, epochs):
+    """Hinge-only training: with an empty shard each epoch is one regularizer step."""
+    empty = (np.zeros((0, state.d_in)), np.zeros(0, dtype=np.int64))
+    return local_update(state, empty, h, config, epochs, lr=0.05)
+
+
 class TestEmbedding:
     def test_data_free_embedding_reaches_every_margin(self):
         _, state, h, config = small_setup(omega=512, n=128, seed=8)
-        out = embed_watermark(state, h, config)
+        out = embed_data_free(state, h, config, 400)
         rep = detection_rate(h, extract_from_state(out, config))
         assert rep.r == 1.0
         loss, _ = hinge_loss_and_grad(out.W_gamma[config.P], config.E, h, config.mu_hinge)
@@ -172,7 +178,7 @@ class TestEmbedding:
     def test_capacity_breach_leaves_errors(self):
         # far more bits than scale entries: the hinge system is overdetermined
         _, state, h, config = small_setup(omega=64, n=512, seed=9)
-        out = embed_watermark(state, h, config, max_steps=600)
+        out = embed_data_free(state, h, config, 600)
         rep = detection_rate(h, extract_from_state(out, config))
         assert rep.r < 1.0
 

@@ -147,7 +147,10 @@ class TestLoopback:
         for session in (verifier, prover):
             before = session.summary()
             assert before.accepted and before.rounds_passed == 4
-            for junk in ("not json", json.dumps({"type": "HELLO", "session": "s", "seq": 99})):
+            late_error = {"type": "ERROR", "session": session.session_id, "seq": 100,
+                          "message": "too late"}
+            for junk in ("not json", json.dumps({"type": "HELLO", "session": "s", "seq": 99}),
+                         json.dumps(late_error)):
                 out = session.feed(junk)
                 assert json.loads(out[0])["type"] == "ERROR"
             assert session.done and session.summary() == before
@@ -241,14 +244,16 @@ class TestVerifierRejectsBadWire:
         monkeypatch.setattr(protocol, "_last_valid", None)
         if warm:
             assert drive(self.prover(), self.fresh())[1].accepted
-        prover = self.prover()
-        (hello,) = prover.start()
-        v = self.fresh()
-        out = v.feed(json.dumps({**json.loads(hello), "client": 17}))
-        if not warm:
-            assert types(out) == ["AGG_REQUEST"]
-            out = v.feed(prover.feed(out[0])[0])
-        assert v.done and "client index" in json.loads(out[0])["message"]
+        for client in (self.agg.K, 17):  # the first index past the last slot, and far past
+            prover = self.prover()
+            (hello,) = prover.start()
+            v = self.fresh()
+            out = v.feed(json.dumps({**json.loads(hello), "client": client}))
+            if not warm:
+                assert types(out) == ["AGG_REQUEST"]
+                out = v.feed(prover.feed(out[0])[0])
+            assert types(out) == ["ERROR"] and v.done and not v.accepted
+            assert "client index" in json.loads(out[0])["message"]
 
     def test_bad_hex_in_aggregate(self, monkeypatch):
         monkeypatch.setattr(protocol, "_last_valid", None)
@@ -269,6 +274,30 @@ class TestVerifierRejectsBadWire:
         doc["seq"] += 1
         out = v.feed(json.dumps(doc))  # same round again, now out of state
         assert v.done and "unexpected" in json.loads(out[0])["message"]
+
+    @pytest.mark.parametrize("mtype", ["COMMIT", "RESPONSE"])
+    def test_a_wrong_round_index_draws_an_error(self, mtype):
+        prover = self.prover()
+        v = self.fresh()
+        line = prover.feed(open_session(prover, v))[0]
+        if mtype == "RESPONSE":
+            line = prover.feed(v.feed(line)[0])[0]
+        doc = json.loads(line)
+        assert doc["type"] == mtype and doc["round"] == 0
+        out = v.feed(json.dumps({**doc, "round": 1}))
+        assert types(out) == ["ERROR"] and json.loads(out[0])["message"] == "wrong round index"
+        assert v.done and not v.accepted
+
+    def test_a_response_naming_another_challenge_is_rejected(self):
+        # the openings answer the verifier's own challenge; only "c" differs
+        prover = self.prover()
+        v = self.fresh()
+        commit = prover.feed(open_session(prover, v))[0]
+        doc = json.loads(prover.feed(v.feed(commit)[0])[0])
+        out = [json.loads(line) for line in v.feed(json.dumps({**doc, "c": (doc["c"] + 1) % 3}))]
+        assert [m["type"] for m in out] == ["ROUND_RESULT", "SESSION_RESULT"]
+        assert out[0]["accepted"] is False
+        assert v.done and not v.accepted and v.reason == "round 0 rejected"
 
     def pi_response(self, params, monkeypatch):
         """A verifier whose next line is the RESPONSE `doc`, which opens pi."""
@@ -320,6 +349,14 @@ class TestVerifierRejectsBadWire:
             VerifierSession(self.wm.h, ERR_N, d=0, rng=self.rng)
         with pytest.raises(ValueError):
             VerifierSession(self.wm.h, N_BITS + 1, d=4, rng=self.rng)
+
+    def test_err_n_must_leave_room_to_accept(self):
+        # validity accepts distance < err_n, so err_n = 0 would reject every aggregate
+        for err_n in (-1, 0):
+            with pytest.raises(ValueError, match=f"err_n {err_n} out of range"):
+                VerifierSession(self.wm.h, err_n, d=4, rng=self.rng)
+        v = VerifierSession(self.wm.h, 1, d=4, rng=self.rng, l_com=L_COM)
+        assert drive(self.prover(), v)[1].accepted  # the exact aggregate is at distance 0
 
 
 class TestProverRejectsBadWire:
@@ -883,6 +920,17 @@ class TestAggregateMemo:
         assert types(prover.transcript)[:3] == ["HELLO", "VALIDITY_RESULT", "COMMIT"]
         assert not {"AGG_REQUEST", "AGG_INPUT"} & set(types(prover.transcript))
         assert self.calls == {"decode": 1, "hash": 1, "basis": 1}
+
+    def test_a_verifier_with_another_mark_length_fetches_the_aggregate(self):
+        assert self.session().accepted
+        short = hash_watermark(self.agg, N_BITS // 2)
+        prover = ProverSession(self.pairs[0][1], self.agg, PARAMS, 0, d=4,
+                               rng=np.random.default_rng(70), l_com=L_COM)
+        verifier = VerifierSession(short.h, ERR_N, d=4, rng=np.random.default_rng(71),
+                                   l_com=L_COM)
+        drive(prover, verifier)
+        assert types(verifier.transcript)[:2] == ["HELLO", "AGG_REQUEST"]
+        assert verifier.accepted and protocol._last_valid[0][0] == N_BITS // 2
 
     def test_a_miss_requests_the_aggregate_and_keys_on_its_own_digest(self):
         v = self.session()

@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from fedzkp.gf2 import BitVec, Permutation, mat_vec_mul, in_image
+from fedzkp.bounds import advantage_bound
+from fedzkp.commitments import commit_batch
+from fedzkp.gf2 import BitVec, Permutation, mat_vec_mul, in_image, sample_fixed_weight
 from fedzkp.lpn import XlpnParams, gen_instance
 from fedzkp.sigma import (
     Challenge,
     ExtractionError,
+    RoundMessage1,
     RoundResponse,
     cheat_commit,
     extract_witness,
-    knowledge_error,
     prover_commit,
     prover_respond,
-    run_session,
     simulate_round,
     verifier_challenge,
     verifier_check_round,
@@ -105,20 +106,11 @@ def test_completeness_all_challenges_many_instances():
             assert verifier_check_round(pub, msg1, Challenge(c), resp, SMALL.w)
 
 
-def test_run_session_honest():
-    rng = np.random.default_rng(6)
-    pub, cred = gen_instance(SMALL, rng)
-    ok, transcripts = run_session(pub, cred, 20, rng, l_com=64)
-    assert ok and len(transcripts) == 20
-    assert all(t.accepted for t in transcripts)
-    with pytest.raises(ValueError):
-        run_session(pub, cred, 0, rng)
-
-
 def test_knowledge_error():
-    assert knowledge_error(1) == pytest.approx(2 / 3)
-    assert knowledge_error(300) == pytest.approx((2 / 3) ** 300)
-    assert knowledge_error(300) < 1e-50
+    # with no hash queries the advantage bound is q sessions at (2/3)^d each
+    assert advantage_bound(0, 1, 1024, 153, 1) == Fraction(2, 3)
+    assert advantage_bound(0, 1, 1024, 153, 300) == Fraction(2, 3) ** 300
+    assert advantage_bound(0, 1, 1024, 153, 300) < Fraction(1, 10**50)
 
 
 # ------------------------------------------------------------------ rejection
@@ -175,6 +167,22 @@ def test_malformed_response_rejects_without_raising(round_per_challenge):
         for out_of_range in (3, -1):  # on both sides
             bad = replace(resp, c=out_of_range)
             assert verifier_check_round(pub, msg1, out_of_range, bad, SMALL.w) is False
+        assert verifier_check_round(pub, msg1, Challenge(c), None, SMALL.w) is False
+
+
+@pytest.mark.parametrize("length, weight", [(8, SMALL.w), (16, SMALL.w), (SMALL.m, SMALL.w - 1),
+                                            (SMALL.m, SMALL.w + 1), (SMALL.m, SMALL.w)])
+def test_challenge_two_needs_openings_m_long_at_weight_w(length, weight):
+    # t1 and t2 open their commitments, so only their length and the
+    # weight of t1 xor t2 tell these rounds apart
+    rng = np.random.default_rng(11)
+    pub, _ = gen_instance(SMALL, rng)
+    t1 = BitVec.random(length, rng)
+    t2 = t1 ^ sample_fixed_weight(length, weight, rng)
+    (C0, _), (C1, o1), (C2, o2) = commit_batch([b"\x00", t1.to_bytes(), t2.to_bytes()], rng, 64)
+    resp = RoundResponse(2, None, None, t1, t2, None, o1.d, o2.d)
+    got = verifier_check_round(pub, RoundMessage1(C0, C1, C2), Challenge(2), resp, SMALL.w)
+    assert got is (length == SMALL.m and weight == SMALL.w)
 
 
 def test_wrong_weight_fails_challenge_two():

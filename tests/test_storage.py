@@ -1,11 +1,12 @@
 """Round-trip and corruption tests for the on-disk formats."""
+import csv
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fedzkp.gf2 import BitVec
-from fedzkp.lpn import XlpnParams, gen_instance, validate_instance
+from fedzkp.gf2 import BitVec, mat_vec_mul
+from fedzkp.lpn import XlpnParams, gen_instance
 from fedzkp.model import ModelState, RoundRecord, DetectionReport, init_model, make_embedding
 from fedzkp.storage import (
     MAGIC,
@@ -13,7 +14,6 @@ from fedzkp.storage import (
     load_checkpoint,
     load_credential,
     load_embedding_config,
-    load_history,
     load_public_input,
     load_watermark,
     save_aggregate,
@@ -95,8 +95,8 @@ class TestPublicInputFiles:
         path = tmp_path / "pub.bin"
         save_public_input(path, pub, PARAMS)
         back, params = load_public_input(path)
-        assert back.A == pub.A and back.y == pub.y
-        assert validate_instance(back, cred, params)
+        assert back.A == pub.A and back.y == pub.y and params == PARAMS
+        assert back.y == mat_vec_mul(back.A, cred.s) ^ cred.e
 
     def test_file_never_contains_credential(self, tmp_path, rng):
         # a weight-w noise pattern must not be findable in the public file
@@ -245,11 +245,14 @@ class TestHistoryFiles:
         ]
         path = tmp_path / "history.csv"
         save_history(path, history)
-        rows = load_history(path)
-        assert rows == [(1, 0.5, 0.25), (2, 1.0, 0.875)]
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["round", "r", "accuracy"],
+                        ["1", "0.500000", "0.250000"], ["2", "1.000000", "0.875000"]]
 
     def test_header_checked(self, tmp_path):
+        # the header row is written even when there is no round to record
         path = tmp_path / "history.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="header"):
-            load_history(path)
+        save_history(path, [])
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["round", "r", "accuracy"]]
