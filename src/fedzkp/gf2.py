@@ -18,6 +18,7 @@ production cryptography.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -60,14 +61,14 @@ class BitVec:
 
     def __init__(self, bits):
         arr = _as_bit_array(bits, 1)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self._bits = arr
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "BitVec":
         # fast path for internal results: takes ownership, skips validation
         vec = object.__new__(cls)
-        arr.flags.writeable = False
+        arr.setflags(write=False)  # about half the cost of assigning flags.writeable
         vec._bits = arr
         return vec
 
@@ -97,7 +98,8 @@ class BitVec:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitVec):
             return NotImplemented
-        return bool(np.array_equal(self._bits, other._bits))
+        # bits are 0/1 bytes: equal bytes mean equal vectors, without array_equal's overhead
+        return self._bits.size == other._bits.size and self._bits.tobytes() == other._bits.tobytes()
 
     def __hash__(self) -> int:
         return hash((self._bits.size, self.to_bytes()))
@@ -135,14 +137,14 @@ class BitMatrix:
 
     def __init__(self, rows):
         arr = _as_bit_array(rows, 2)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self._a = arr
         self._basis = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "BitMatrix":
         mat = object.__new__(cls)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         mat._a = arr
         mat._basis = None
         return mat
@@ -226,7 +228,7 @@ class Permutation:
         if arr.ndim != 1:
             raise ValueError("permutation map must be one-dimensional")
         _check_bijection(arr)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self._map = arr
         self._inv = None
         self._bytes = None
@@ -234,7 +236,7 @@ class Permutation:
     @classmethod
     def _wrap(cls, arr: np.ndarray, data: Optional[bytes] = None) -> "Permutation":
         p = object.__new__(cls)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         p._map = arr
         p._inv = None
         p._bytes = data
@@ -257,7 +259,7 @@ class Permutation:
 
     def apply(self, a: BitVec) -> BitVec:
         """out[map[i]] = a[i]."""
-        if len(a) != self._map.size:
+        if a._bits.size != self._map.size:
             raise ValueError("permutation domain size does not match vector length")
         out = np.empty(self._map.size, dtype=np.uint8)
         out[self._map] = a.bits
@@ -278,10 +280,15 @@ class Permutation:
         from_bytes keeps the bytes it was read from.
         """
         if self._bytes is None:
-            # shift each index to the top of a big-endian word, keep its top b bits
             b = _index_bits(self._map.size)
-            words = (self._map << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
-            self._bytes = np.packbits(np.unpackbits(words, axis=1, count=b)).tobytes()
+            if b <= _TABLE_BITS:
+                # one gather from the digit table: a few times faster than unpacking words
+                bits = _index_digits(b).take(self._map, axis=0)
+            else:
+                # shift each index to the top of a big-endian word, keep its top b bits
+                words = (self._map << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
+                bits = np.unpackbits(words, axis=1, count=b)
+            self._bytes = np.packbits(bits).tobytes()
         return self._bytes
 
     @classmethod
@@ -305,6 +312,19 @@ class Permutation:
         return cls._wrap(arr, bytes(data))
 
 
+# index widths up to this pack through a (2**b, b) digit table, 1 MB at most
+_TABLE_BITS = 16
+
+
+@lru_cache(maxsize=None)
+def _index_digits(b: int) -> np.ndarray:
+    # row k holds the b binary digits of k, MSB first
+    words = np.arange(1 << b, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    digits = np.unpackbits(words, axis=1)[:, 32 - b:].copy()
+    digits.setflags(write=False)
+    return digits
+
+
 def _index_bits(m: int) -> int:
     """Bits per index in Permutation.to_bytes: ceil(log2 m), 0 for m <= 1."""
     return max(m - 1, 0).bit_length()
@@ -323,10 +343,11 @@ def _check_bijection(arr: np.ndarray) -> None:
 
 def mat_vec_mul(A: BitMatrix, x: BitVec) -> BitVec:
     """A @ x over GF(2)."""
-    if len(x) != A.cols:
+    a, bits = A._a, x._bits
+    if bits.size != a.shape[1]:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} times len {len(x)}")
     # uint8 matmul accumulates mod 256; parity is preserved because 256 is even
-    return BitVec._wrap((A.array @ x.bits) & 1)
+    return BitVec._wrap((a @ bits) & 1)
 
 
 def solve_linear(A: BitMatrix, b: BitVec) -> Optional[BitVec]:

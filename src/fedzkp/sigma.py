@@ -126,17 +126,20 @@ def prover_commit(
     l_com: int = DEFAULT_COMMIT_BITS,
 ) -> tuple[ProverRoundState, RoundMessage1]:
     """First prover move: blind the credential and commit."""
-    m, l = pub.A.rows, pub.A.cols
-    if len(cred.s) != l or len(cred.e) != m or len(pub.y) != m:
+    A, e = pub.A, cred.e.bits
+    m, l = A.array.shape
+    if len(cred.s) != l or e.size != m or len(pub.y) != m:
         raise ValueError("credential dimensions do not match the public input")
-    if mat_vec_mul(pub.A, cred.s) ^ cred.e != pub.y:
+    # raw 0/1 arrays between the two products: at small m the products are
+    # the smaller part of a round, and BitVec operators cost per call
+    if (mat_vec_mul(A, cred.s).bits ^ e).tobytes() != pub.y.bits.tobytes():
         raise ValueError("credential does not open the public input")
     pi = Permutation.random(m, rng)
     vf = rng.integers(0, 2, size=l + m, dtype=np.uint8)
-    v, f = BitVec._wrap(vf[:l].copy()), BitVec._wrap(vf[l:].copy())
-    t0 = mat_vec_mul(pub.A, v) ^ f
+    v, f = BitVec._wrap(vf[:l]), BitVec._wrap(vf[l:])
+    t0 = BitVec._wrap(mat_vec_mul(A, v).bits ^ f.bits)
     t1 = pi.apply(f)
-    t2 = pi.apply(f ^ cred.e)
+    t2 = pi.apply(BitVec._wrap(f.bits ^ e))
     return _commit_round(pi, v, f, t0, t1, t2, rng, l_com)
 
 
