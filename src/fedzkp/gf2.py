@@ -259,7 +259,7 @@ class Permutation:
 
     def apply(self, a: BitVec) -> BitVec:
         """out[map[i]] = a[i]."""
-        if a._bits.size != self._map.size:
+        if len(a) != self._map.size:
             raise ValueError("permutation domain size does not match vector length")
         out = np.empty(self._map.size, dtype=np.uint8)
         out[self._map] = a.bits
@@ -280,15 +280,9 @@ class Permutation:
         from_bytes keeps the bytes it was read from.
         """
         if self._bytes is None:
-            b = _index_bits(self._map.size)
-            if b <= _TABLE_BITS:
-                # one gather from the digit table: a few times faster than unpacking words
-                bits = _index_digits(b).take(self._map, axis=0)
-            else:
-                # shift each index to the top of a big-endian word, keep its top b bits
-                words = (self._map << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
-                bits = np.unpackbits(words, axis=1, count=b)
-            self._bytes = np.packbits(bits).tobytes()
+            # one gather of each index's row from the encoding table, then one pack
+            digits = _index_digits(self._map.size).take(self._map, axis=0)
+            self._bytes = np.packbits(digits).tobytes()
         return self._bytes
 
     @classmethod
@@ -312,15 +306,18 @@ class Permutation:
         return cls._wrap(arr, bytes(data))
 
 
-# index widths up to this pack through a (2**b, b) digit table, 1 MB at most
-_TABLE_BITS = 16
+@lru_cache(maxsize=8)
+def _index_digits(m: int) -> np.ndarray:
+    """Row k holds the ceil(log2 m) binary digits of k, MSB first.
 
-
-@lru_cache(maxsize=None)
-def _index_digits(b: int) -> np.ndarray:
-    # row k holds the b binary digits of k, MSB first
-    words = np.arange(1 << b, dtype=">u4").view(np.uint8).reshape(-1, 4)
-    digits = np.unpackbits(words, axis=1)[:, 32 - b:].copy()
+    The encoding table of Permutation.to_bytes for every m: m * ceil(log2 m)
+    bytes, as much as one packing of a permutation on m points unpacks, built
+    once per m and kept for the last few m.
+    """
+    b = _index_bits(m)
+    # shift each index to the top of a big-endian word, keep its top b bits
+    words = (np.arange(m, dtype=np.int64) << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
+    digits = np.unpackbits(words, axis=1, count=b)
     digits.setflags(write=False)
     return digits
 
@@ -343,11 +340,10 @@ def _check_bijection(arr: np.ndarray) -> None:
 
 def mat_vec_mul(A: BitMatrix, x: BitVec) -> BitVec:
     """A @ x over GF(2)."""
-    a, bits = A._a, x._bits
-    if bits.size != a.shape[1]:
+    if len(x) != A.cols:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} times len {len(x)}")
     # uint8 matmul accumulates mod 256; parity is preserved because 256 is even
-    return BitVec._wrap((a @ bits) & 1)
+    return BitVec._wrap((A.array @ x.bits) & 1)
 
 
 def solve_linear(A: BitMatrix, b: BitVec) -> Optional[BitVec]:

@@ -282,16 +282,6 @@ def test_permutation_bytes_roundtrip():
     assert len(Permutation.random(800, rng).to_bytes()) == 1000
 
 
-def test_permutation_bytes_on_both_sides_of_the_digit_table():
-    # 16-bit indices pack through the digit table, 17-bit ones through words
-    rng = np.random.default_rng(206)
-    for m in (1 << 16, (1 << 16) + 1):
-        mapping = rng.permutation(m)
-        data = Permutation(mapping).to_bytes()
-        assert data == pack_indices(mapping, index_width(m))
-        assert Permutation.from_bytes(data, m) == Permutation(mapping)
-
-
 @pytest.mark.parametrize("m", [3, 5, 50, 257])  # each encoding ends in padding bits
 def test_permutation_from_bytes_rejects_malformed_input(m):
     b = index_width(m)
