@@ -132,8 +132,8 @@ def targeted_destruction(state: ModelState, phi: float, ctx: AttackEvalContext,
     mu = float(state.W_gamma.mean())
     var = float(state.W_gamma.var())
     attacked = state.copy()
-    attacked.W_gamma = attacked.W_gamma + rng.normal(mu, np.sqrt(phi * var),
-                                                     size=attacked.W_gamma.shape)
+    noise = rng.normal(mu, np.sqrt(phi * var), size=attacked.W_gamma.shape)
+    attacked.W_gamma += noise.astype(attacked.W_gamma.dtype)
     return attacked, _measure("noise", phi, attacked, ctx)
 
 

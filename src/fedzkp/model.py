@@ -20,6 +20,13 @@ The main task is deliberately tiny: 10 Gaussian blob classes in 16
 dimensions, enough to expose the fidelity/robustness trade-offs without
 real training budgets.
 
+Every array is float32: weights, samples and E alike, and training,
+extraction and the attacks compute in the dtype of the arrays they are
+given.  Draws still come from the generator's float64 stream and are
+rounded, so a seed yields the values a float64 model would start from,
+to float32 precision, and every later draw is unchanged.  E is filled a
+block of rows at a time, so no float64 copy of it is ever built.
+
 A federated round trains its K clients in lock step (local_updates).
 They all start from the global state and hold shards of one length, so
 step s takes the same batch slice from each.  The main task runs per
@@ -44,6 +51,8 @@ DEFAULT_BATCH = 32
 DEFAULT_INPUT_DIM = 16
 DEFAULT_CLASSES = 10
 GAMMA_INIT_SCALE = 0.02
+DTYPE = np.float32  # every weight, embedding direction and sample
+_DRAW_ROWS = 256  # rows per float64 block when E is drawn
 
 
 @dataclass
@@ -123,9 +132,25 @@ def init_model(
     b1 = np.zeros(omega)
     W2 = rng.standard_normal((omega, classes)) / np.sqrt(omega)
     b2 = np.zeros(classes)
-    theta = np.concatenate([W1.ravel(), b1, W2.ravel(), b2])
-    gamma = gamma_scale * rng.standard_normal(omega)
+    theta = np.concatenate([W1.ravel(), b1, W2.ravel(), b2]).astype(DTYPE)
+    gamma = (gamma_scale * rng.standard_normal(omega)).astype(DTYPE)
     return ModelState(d_in, omega, classes, theta, gamma)
+
+
+def _standard_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols float32 draw holding the float64 stream's values, rounded.
+
+    Blocks of rows pass through one float64 buffer, so a large matrix
+    needs no float64 copy of itself, and the generator ends where one
+    float64 draw of the whole shape would leave it.
+    """
+    out = np.empty((rows, cols), dtype=DTYPE)
+    buf = np.empty((min(_DRAW_ROWS, rows), cols))
+    for i in range(0, rows, _DRAW_ROWS):
+        block = buf[:rows - i]
+        rng.standard_normal(out=block)
+        out[i:i + len(block)] = block
+    return out
 
 
 def make_embedding(omega: int, n: int, rng: np.random.Generator,
@@ -133,7 +158,7 @@ def make_embedding(omega: int, n: int, rng: np.random.Generator,
                    P: Optional[np.ndarray] = None) -> EmbeddingConfig:
     if P is None:
         P = np.arange(omega)
-    E = rng.standard_normal((P.size, n))
+    E = _standard_normal(rng, P.size, n)
     return EmbeddingConfig(E=E, P=P, lam=lam, mu_hinge=mu_hinge)
 
 
@@ -144,7 +169,7 @@ def make_blobs(n_samples: int, rng: np.random.Generator,
     centers = center_scale * rng.standard_normal((classes, d_in))
     y = rng.integers(0, classes, size=n_samples)
     X = centers[y] + rng.standard_normal((n_samples, d_in))
-    return X, y
+    return X.astype(DTYPE), y
 
 
 def _forward(state: ModelState, X: np.ndarray):
@@ -178,17 +203,18 @@ def hinge_loss_and_grad(W_gamma: np.ndarray, E: np.ndarray, h: BitVec, mu_hinge:
     K x |P| array; a stacked call returns one loss per row and a K x |P|
     gradient from one product pair against E.  The gradient masks the
     targets rather than gathering the active columns of E, so each call
-    streams E twice and copies none of it.
+    streams E twice and copies none of it.  Everything is computed in
+    the result dtype of W_gamma and E, the +-1 targets included.
     """
     if W_gamma.ndim not in (1, 2) or W_gamma.shape[-1] != E.shape[0] or E.shape[1] != len(h):
         raise ValueError("hinge shapes do not conform")
-    t = 2.0 * h.bits.astype(np.float64) - 1.0
+    t = 2 * h.bits.astype(np.result_type(W_gamma, E)) - 1
     p = W_gamma @ E
     violation = mu_hinge - t * p
     active = violation > 0
     losses = [float(v[a].sum()) for v, a in zip(np.atleast_2d(violation), np.atleast_2d(active))]
-    grad = -(E @ np.where(active, t, 0.0).T).T
-    return (losses[0] if W_gamma.ndim == 1 else np.array(losses)), grad
+    grad = -(E @ np.where(active, t, 0).T).T
+    return (losses[0] if W_gamma.ndim == 1 else np.array(losses, dtype=t.dtype)), grad
 
 
 def detection_rate(h_target: BitVec, h_extracted: BitVec) -> DetectionReport:
@@ -228,7 +254,7 @@ def local_updates(
     for _ in range(epochs):
         starts = range(0, n_samples, batch) if n_samples else (0,)
         for s in starts:
-            main_loss = np.zeros(K)
+            main_loss = np.zeros(K, dtype=gammas.dtype)
             dgammas = np.zeros_like(gammas)
             if n_samples:
                 # Inline, not a helper: each client's arrays stay bound
@@ -248,9 +274,11 @@ def local_updates(
                     logits = Z @ W2 + b2
                     logits -= logits.max(axis=1, keepdims=True)
                     expl = np.exp(logits)
-                    probs = expl / expl.sum(axis=1, keepdims=True)
-                    main_loss[k] = -np.mean(np.log(probs[np.arange(nb), yb] + 1e-300))
-                    dO = probs
+                    sums = expl.sum(axis=1, keepdims=True)
+                    # log-softmax: a true-class probability that underflows
+                    # still leaves a finite loss
+                    main_loss[k] = np.mean(np.log(sums[:, 0]) - logits[np.arange(nb), yb])
+                    dO = expl / sums
                     dO[np.arange(nb), yb] -= 1.0
                     dO /= nb
                     dW2 = Z.T @ dO

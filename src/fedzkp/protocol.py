@@ -23,11 +23,12 @@ line json cannot parse for its nesting depth or for an integer past
 Python's digit limit, and AGG_INPUT bytes that do not hash to the HELLO
 digest; a peer's ERROR closes it as rejected without a reply.  Peer text
 quoted in an ERROR or a reason is cut to ECHO_CHARS characters.  A
-settled verdict is final: a line fed after it draws an ERROR reply and
-changes nothing, and a SESSION_RESULT that contradicts the rounds the
-prover saw counts as malformed.  A torn connection is an abort, which is
-deliberately distinct from a reject: it says nothing about the
-credential.
+settled verdict is final: a line fed after it changes nothing and draws
+an ERROR reply, unless it is the peer's ERROR, which draws none (two
+settled sessions would otherwise trade ERRORs forever).  A
+SESSION_RESULT that contradicts the rounds the prover saw counts as
+malformed.  A torn connection is an abort, which is deliberately
+distinct from a reject: it says nothing about the credential.
 
 Both roles are sans-io subclasses of one skeleton, _Session: feed() maps
 one incoming line to a list of outgoing lines, so tests can drive them
@@ -253,8 +254,9 @@ class _Session:
     hands the message to the subclass's _step.  `peer` names the other
     role in the reason a peer ERROR leaves.  feed() never raises on
     peer input: bad lines turn into an ERROR reply and a rejected session.
-    A settled verdict is final: later lines still draw an ERROR reply but
-    leave `accepted` and `reason` as they were.
+    A settled verdict is final: later lines leave `accepted` and `reason`
+    as they were, and each draws an ERROR reply except a peer's ERROR,
+    which draws none.
     """
 
     peer: str
@@ -307,6 +309,10 @@ class _Session:
         try:
             msg = _decode(line)
             if self.done:
+                # answering a peer's ERROR would let two settled sessions
+                # trade ERRORs for as long as they are fed
+                if msg["type"] == "ERROR":
+                    return []
                 raise ProtocolError("session already closed")
             if msg["seq"] <= self._seq_in:
                 raise ProtocolError("sequence number did not increase")

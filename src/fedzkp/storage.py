@@ -4,14 +4,18 @@ model checkpoints and training history.
 Binary files share a layout: the 7-byte magic ``FEDZKP1``, a kind byte,
 a fixed little-endian header, then raw payload bytes.  Bit payloads use
 the gf2 packing (8 bits per byte, matrices row-major).  Float payloads
-are flat little-endian float64.  Every malformed input raises ValueError.
-The aggregate bytes are also the protocol's AGG_INPUT payload, so
-aggregate_to_bytes and aggregate_from_bytes hold its layout for both.
+are flat little-endian float32, the model's own width, so a verifier
+extracts the mark from the values training left; a checkpoint's header
+records that width, and a float64 checkpoint from before it is refused.
+Every malformed input raises ValueError.  The aggregate bytes are also
+the protocol's AGG_INPUT payload, so aggregate_to_bytes and
+aggregate_from_bytes hold its layout for both.
 
 Credentials are secrets; they get their own file kind and never appear
 inside public-input, aggregate or watermark files.  The embedding
 directions are not stored at all: the config file keeps the RNG seed
-they were drawn from, which is smaller and tamper-evident in one value.
+they were drawn from, which is smaller and tamper-evident in one value;
+the float32 E regrown from it is the float64 stream rounded.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from .gf2 import BitMatrix, BitVec
 from .lpn import Credential, PublicInput, XlpnParams
-from .model import EmbeddingConfig, ModelState, _theta_layout, make_embedding
+from .model import DTYPE, EmbeddingConfig, ModelState, _theta_layout, make_embedding
 from .watermark import AggregatedInput, HashWatermark
 
 MAGIC = b"FEDZKP1"
@@ -37,6 +41,9 @@ KIND_AGGREGATE = 3
 KIND_CHECKPOINT = 4
 
 _PARAMS = struct.Struct("<IIQQI")  # m, l, tau numerator/denominator, w
+# d_in, omega, classes, theta and W_gamma lengths; then one byte, the float width
+_CHECKPOINT = struct.Struct("<IIIQQ")
+_FLOAT = np.dtype(DTYPE).newbyteorder("<")
 
 PathLike = Union[str, Path]
 
@@ -171,26 +178,36 @@ def load_watermark(path: PathLike) -> HashWatermark:
 
 
 def save_checkpoint(path: PathLike, state: ModelState):
-    head = struct.pack("<IIIQQ", state.d_in, state.omega, state.classes,
-                       state.theta.size, state.W_gamma.size)
-    body = (np.ascontiguousarray(state.theta, dtype="<f8").tobytes()
-            + np.ascontiguousarray(state.W_gamma, dtype="<f8").tobytes())
-    _write(path, MAGIC + bytes([KIND_CHECKPOINT]) + head + body)
+    head = _CHECKPOINT.pack(state.d_in, state.omega, state.classes,
+                            state.theta.size, state.W_gamma.size)
+    body = (np.ascontiguousarray(state.theta, dtype=_FLOAT).tobytes()
+            + np.ascontiguousarray(state.W_gamma, dtype=_FLOAT).tobytes())
+    _write(path, MAGIC + bytes([KIND_CHECKPOINT]) + head + bytes([_FLOAT.itemsize]) + body)
 
 
 def load_checkpoint(path: PathLike) -> ModelState:
     view = _view(Path(path).read_bytes(), KIND_CHECKPOINT, path)
-    raw, view = _expect(view, struct.calcsize("<IIIQQ"), "model header")
-    d_in, omega, classes, t_len, g_len = struct.unpack("<IIIQQ", raw)
+    raw, view = _expect(view, _CHECKPOINT.size, "model header")
+    d_in, omega, classes, t_len, g_len = _CHECKPOINT.unpack(raw)
+    # a file from before the width byte holds float64 weights right
+    # after the header, and nothing else
+    if len(view) == 8 * (t_len + g_len):
+        width = 8
+    else:
+        raw, view = _expect(view, 1, "float width")
+        width = raw[0]
+    if width != _FLOAT.itemsize:
+        raise ValueError(f"{path}: checkpoint holds {width}-byte floats; "
+                         f"this reader takes {_FLOAT.itemsize}-byte {_FLOAT.name} only")
     if g_len != omega:
         raise ValueError("scale vector length disagrees with declared width")
     if t_len != sum(_theta_layout(d_in, omega, classes)[0]):
         raise ValueError("main weight length disagrees with the declared layout")
-    t_raw, view = _expect(view, 8 * t_len, "main weights")
-    g_raw, view = _expect(view, 8 * g_len, "scale vector")
+    t_raw, view = _expect(view, width * t_len, "main weights")
+    g_raw, view = _expect(view, width * g_len, "scale vector")
     _done(view, path)
-    theta = np.frombuffer(t_raw, dtype="<f8").astype(np.float64)
-    gamma = np.frombuffer(g_raw, dtype="<f8").astype(np.float64)
+    theta = np.frombuffer(t_raw, dtype=_FLOAT).astype(DTYPE)
+    gamma = np.frombuffer(g_raw, dtype=_FLOAT).astype(DTYPE)
     return ModelState(d_in=d_in, omega=omega, classes=classes,
                       theta=theta, W_gamma=gamma)
 

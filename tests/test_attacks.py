@@ -64,6 +64,15 @@ class TestFinetune:
         assert arr[1] >= arr[2] - 1e-9
 
 
+def test_attacks_keep_the_float32_model():
+    rng, state, _, shards, ctx = trained_setup(seed=38)
+    attacked = [finetune_attack(state, shards[0], 2, ctx)[0],
+                prune_attack(state, 0.3, ctx)[0],
+                targeted_destruction(state, 0.4, ctx, rng)[0]]
+    for st in attacked:
+        assert st.theta.dtype == st.W_gamma.dtype == np.float32
+
+
 class TestPrune:
     def test_rate_zero_unchanged(self):
         _, state, hist, _, ctx = trained_setup(seed=36)

@@ -1,5 +1,6 @@
 """Model, embedding, and federation tests at small widths."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,14 @@ def small_setup(omega=256, n=64, seed=0, lam=1.0, mu=0.5, gamma_scale=0.02):
     h = BitVec.random(n, rng)
     config = make_embedding(omega, n, rng, lam=lam, mu_hinge=mu)
     return rng, state, h, config
+
+
+def as_float64(state, config):
+    """float64 copies: training follows its inputs' dtype, so an algebraic
+    identity can be checked at float64 round-off."""
+    wide = ModelState(state.d_in, state.omega, state.classes,
+                      state.theta.astype(np.float64), state.W_gamma.astype(np.float64))
+    return wide, replace(config, E=config.E.astype(np.float64))
 
 
 class TestHingeGradient:
@@ -225,6 +234,7 @@ class TestLocalUpdate:
     def test_regularizer_step_is_mean_normalized(self):
         # one empty-shard epoch moves gamma by exactly lr * (lam/n) * grad
         rng, state, h, config = small_setup(omega=32, n=16, seed=13, lam=2.5)
+        state, config = as_float64(state, config)
         empty = (np.empty((0, state.d_in)), np.empty(0, dtype=int))
         out = local_update(state, empty, h, config, epochs=1, lr=0.1)
         _, grad = hinge_loss_and_grad(state.W_gamma[config.P], config.E, h, config.mu_hinge)
@@ -244,6 +254,16 @@ class TestLocalUpdate:
         with pytest.raises(RuntimeError):
             local_update(state, (X, y), h, config, epochs=50, lr=1e14)
 
+    def test_a_wide_logit_gap_trains(self):
+        # exp(-200) underflows in float32: the true-class probability reads
+        # 0, and only a log-softmax loss stays finite
+        rng, state, h, config = small_setup(seed=16)
+        X, y = make_blobs(64, rng)
+        *_, b2 = model._unpack(state)
+        b2[0] = 200.0
+        out = local_update(state, (X, np.ones_like(y)), h, config, epochs=1)
+        assert np.isfinite(out.theta).all() and np.isfinite(out.W_gamma).all()
+
 
 class TestLocalUpdates:
     @staticmethod
@@ -252,7 +272,8 @@ class TestLocalUpdates:
 
     def test_matches_separate_local_update_calls(self):
         rng, state, h, config = small_setup(omega=256, n=64, seed=30, lam=5.0, gamma_scale=1.0)
-        shards = self.shards(rng, 3)
+        state, config = as_float64(state, config)
+        shards = [(X.astype(np.float64), y) for X, y in self.shards(rng, 3)]
         before = state.copy()
         together = local_updates(state, shards, h, config, epochs=3, lr=0.03)
         assert len(together) == 3
@@ -385,6 +406,28 @@ class TestFederation:
         config = make_embedding(64, 16, rng)
         with pytest.raises(ValueError):
             run_federation(h, 0, 1, 1, config, rng, omega=64)
+
+
+class TestFloat32:
+    def test_embedding_is_the_float64_stream_rounded(self):
+        # 300 rows span two draw blocks; the generator ends where one
+        # float64 draw leaves it, so later draws do not shift
+        a, b = np.random.default_rng(40), np.random.default_rng(40)
+        E = make_embedding(300, 70, a).E
+        assert E.dtype == np.float32
+        assert np.array_equal(E, b.standard_normal((300, 70)).astype(np.float32))
+        assert a.standard_normal() == b.standard_normal()
+
+    def test_training_keeps_every_array_float32(self):
+        rng = np.random.default_rng(41)
+        h = BitVec.random(32, rng)
+        config = make_embedding(128, 32, rng)
+        state, _, (shards, (X_test, _)) = run_federation(
+            h, 2, 2, 2, config, rng, omega=128, samples_per_client=60, test_samples=60)
+        arrays = [state.theta, state.W_gamma, X_test, *(X for X, _ in shards)]
+        assert all(a.dtype == np.float32 for a in arrays)
+        losses, grad = hinge_loss_and_grad(np.tile(state.W_gamma, (2, 1)), config.E, h, 0.5)
+        assert losses.dtype == grad.dtype == np.float32
 
 
 class TestData:

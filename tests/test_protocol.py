@@ -149,10 +149,11 @@ class TestLoopback:
             assert before.accepted and before.rounds_passed == 4
             late_error = {"type": "ERROR", "session": session.session_id, "seq": 100,
                           "message": "too late"}
-            for junk in ("not json", json.dumps({"type": "HELLO", "session": "s", "seq": 99}),
-                         json.dumps(late_error)):
+            for junk in ("not json", json.dumps({"type": "HELLO", "session": "s", "seq": 99})):
                 out = session.feed(junk)
                 assert json.loads(out[0])["type"] == "ERROR"
+            # a reply to the peer's late ERROR would start an endless exchange
+            assert session.feed(json.dumps(late_error)) == []
             assert session.done and session.summary() == before
 
     def test_session_ids_differ(self):

@@ -1,5 +1,6 @@
 """Round-trip and corruption tests for the on-disk formats."""
 import csv
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,9 @@ class TestCheckpoints:
         assert (back.d_in, back.omega, back.classes) == (8, 64, 5)
         assert np.array_equal(back.theta, state.theta)
         assert np.array_equal(back.W_gamma, state.W_gamma)
+        # float32 weights after the header and its width byte
+        assert back.theta.dtype == back.W_gamma.dtype == np.float32
+        assert path.stat().st_size == 8 + 28 + 1 + 4 * (state.theta.size + 64)
 
     def test_rejects_width_mismatch(self, tmp_path, rng):
         state = init_model(64, rng, d_in=8, classes=5)
@@ -208,6 +212,27 @@ class TestCheckpoints:
         path = tmp_path / "model.bin"
         save_checkpoint(path, short)
         with pytest.raises(ValueError, match="layout"):
+            load_checkpoint(path)
+
+    def test_a_float64_checkpoint_is_refused(self, tmp_path, rng):
+        # the layout before the width byte: header, then float64 payloads
+        state = init_model(64, rng, d_in=8, classes=5)
+        path = tmp_path / "model.bin"
+        path.write_bytes(MAGIC + bytes([4])
+                         + struct.pack("<IIIQQ", 8, 64, 5, state.theta.size, 64)
+                         + state.theta.astype("<f8").tobytes()
+                         + state.W_gamma.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="8-byte floats"):
+            load_checkpoint(path)
+
+    def test_rejects_another_float_width(self, tmp_path, rng):
+        state = init_model(64, rng, d_in=8, classes=5)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, state)
+        data = bytearray(path.read_bytes())
+        data[8 + 28] = 2  # the width byte after the header
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="2-byte floats"):
             load_checkpoint(path)
 
     def test_loaded_arrays_are_writable(self, tmp_path, rng):
