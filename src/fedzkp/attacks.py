@@ -169,20 +169,19 @@ def bruteforce_near_collision(
 
 def _play(pub, cred, d: int, params: GameParams, rng: np.random.Generator,
           log: list, who: str) -> bool:
-    """d rounds against the verifier's check at the game's own w.
+    """d rounds against the verifier's check of `pub`.
 
     A prover that holds `cred` commits honestly; without one (None) it
     sacrifices one challenge per round.  The first rejected round ends
     the session, as it ends a wire session.
     """
-    w = params.xlpn.w
     for rnd in range(d):
         if cred is None:
-            state, msg1 = cheat_commit(pub, w, int(rng.integers(0, 3)), rng, params.l_com)
+            state, msg1 = cheat_commit(pub, pub.w, int(rng.integers(0, 3)), rng, params.l_com)
         else:
             state, msg1 = prover_commit(pub, cred, rng, params.l_com)
         ch = verifier_challenge(rng)
-        ok = verifier_check_round(pub, msg1, ch, prover_respond(state, ch), w)
+        ok = verifier_check_round(pub, msg1, ch, prover_respond(state, ch))
         log.append(f"{who} round {rnd}: challenged {ch.c} -> {ok}")
         if not ok:
             return False

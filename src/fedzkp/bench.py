@@ -14,7 +14,7 @@ for the first time pays for the elimination.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from statistics import median
 
@@ -52,8 +52,7 @@ def _fit(points) -> SlopeReport:
 
 def _fresh(pub: PublicInput) -> PublicInput:
     # same bits, new object: drops the cached column basis
-    m, l = pub.A.rows, pub.A.cols
-    return PublicInput(A=BitMatrix.from_bytes(pub.A.to_bytes(), m, l), y=pub.y)
+    return replace(pub, A=BitMatrix.from_bytes(pub.A.to_bytes(), pub.A.rows, pub.A.cols))
 
 
 def bench_generation(m_values=DEFAULT_GRID, offset: int = DEFAULT_OFFSET,
@@ -104,7 +103,7 @@ def bench_verification(m_values=DEFAULT_GRID, offset: int = DEFAULT_OFFSET,
         times = []
         for fresh_pub, msg1, ch, resp in prepared:
             t0 = time.perf_counter()
-            ok = verifier_check_round(fresh_pub, msg1, ch, resp, params.w)
+            ok = verifier_check_round(fresh_pub, msg1, ch, resp)
             times.append(time.perf_counter() - t0)
             if not ok:
                 raise RuntimeError("honest round rejected during benchmarking")

@@ -2,10 +2,11 @@
 
 A credential is a pair (s, e): a uniform secret s of length l and an
 error vector e of length m with Hamming weight exactly w = round(m*tau),
-rounding halves up.  The matching public input is (A, y) with
-y = A @ s xor e.  A is resampled until it has full column rank, which
-keeps s recoverable from A @ s and makes downstream witness extraction
-unambiguous.
+rounding halves up.  The matching public input is the statement
+(A, y, w) with y = A @ s xor e: the weight is part of it, so whatever
+hashes or checks a public input reads w from there.  A is resampled
+until it has full column rank, which keeps s recoverable from A @ s and
+makes downstream witness extraction unambiguous.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ class Credential:
 class PublicInput:
     A: BitMatrix
     y: BitVec
+    w: int
 
 
 def gen_instance(params: XlpnParams, rng: np.random.Generator) -> tuple[PublicInput, Credential]:
@@ -69,4 +71,4 @@ def gen_instance(params: XlpnParams, rng: np.random.Generator) -> tuple[PublicIn
     s = BitVec.random(params.l, rng)
     e = sample_fixed_weight(params.m, params.w, rng)
     y = mat_vec_mul(A, s) ^ e
-    return PublicInput(A, y), Credential(s, e)
+    return PublicInput(A, y, params.w), Credential(s, e)

@@ -36,8 +36,7 @@ local_update is the K=1 case of the same loop.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,21 +70,16 @@ class ModelState:
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    """Where and how the watermark is pressed into the scale vector."""
+    """How the watermark is pressed into the scale vector: E has one row
+    per scale entry and one column per watermark bit."""
 
     E: np.ndarray
-    P: np.ndarray
     lam: float = DEFAULT_LAMBDA
     mu_hinge: float = DEFAULT_MARGIN
 
     def __post_init__(self):
-        # a repeated index would drop gradient terms: dgamma[P] += g
-        # writes each entry once, it does not accumulate duplicates
-        if (self.P.ndim != 1 or self.P.dtype.kind not in "iu"
-                or np.unique(self.P).size != self.P.size):
-            raise ValueError("P must be a 1-D array of distinct integer indices")
-        if self.E.ndim != 2 or self.E.shape[0] != self.P.size:
-            raise ValueError("embedding matrix must have one row per selected scale entry")
+        if self.E.ndim != 2:
+            raise ValueError("embedding matrix must be two-dimensional")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.mu_hinge <= 0:
@@ -154,12 +148,8 @@ def _standard_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 
 def make_embedding(omega: int, n: int, rng: np.random.Generator,
-                   lam: float = DEFAULT_LAMBDA, mu_hinge: float = DEFAULT_MARGIN,
-                   P: Optional[np.ndarray] = None) -> EmbeddingConfig:
-    if P is None:
-        P = np.arange(omega)
-    E = _standard_normal(rng, P.size, n)
-    return EmbeddingConfig(E=E, P=P, lam=lam, mu_hinge=mu_hinge)
+                   lam: float = DEFAULT_LAMBDA, mu_hinge: float = DEFAULT_MARGIN) -> EmbeddingConfig:
+    return EmbeddingConfig(E=_standard_normal(rng, omega, n), lam=lam, mu_hinge=mu_hinge)
 
 
 def make_blobs(n_samples: int, rng: np.random.Generator,
@@ -193,14 +183,14 @@ def extract_watermark(W_gamma: np.ndarray, E: np.ndarray) -> BitVec:
 
 
 def extract_from_state(state: ModelState, config: EmbeddingConfig) -> BitVec:
-    return extract_watermark(state.W_gamma[config.P], config.E)
+    return extract_watermark(state.W_gamma, config.E)
 
 
 def hinge_loss_and_grad(W_gamma: np.ndarray, E: np.ndarray, h: BitVec, mu_hinge: float):
     """Sum-form hinge against +-1 targets and its gradient in W_gamma.
 
     W_gamma is one scale vector, or K of them stacked as the rows of a
-    K x |P| array; a stacked call returns one loss per row and a K x |P|
+    K x omega array; a stacked call returns one loss per row and a K x omega
     gradient from one product pair against E.  The gradient masks the
     targets rather than gathering the active columns of E, so each call
     streams E twice and copies none of it.  Everything is computed in
@@ -295,8 +285,8 @@ def local_updates(
                     W2 -= lr * dW2
                     b2 -= lr * db2
             if config.lam > 0:
-                h_loss, h_grad = hinge_loss_and_grad(gammas[:, config.P], config.E, h, config.mu_hinge)
-                dgammas[:, config.P] += scale * h_grad
+                h_loss, h_grad = hinge_loss_and_grad(gammas, config.E, h, config.mu_hinge)
+                dgammas += scale * h_grad
             else:
                 h_loss = 0.0
             total = main_loss + scale * h_loss

@@ -38,6 +38,12 @@ each state is named after the message it awaits ("A|B" awaits either),
 and a role adds only its _step.  Both TCP endpoints run a session
 through one loop, _run.
 
+The verifier reads nothing of the statement off the wire.  The weight w
+that challenge 2 checks is the claimed slot's own, from an aggregate
+that passed validity; the hash binds w with every A_j and y_j, so the
+tau in aggregate.bin's header cannot relabel the statement, and a
+header tau that rounds to the same w is the same statement.
+
 A verifier process keeps the last aggregate that passed validity: one
 entry of K*m*l bytes, with its decoded slots and its hash, never admitted
 on a failed check.  It is keyed on the watermark length and the digest
@@ -90,8 +96,8 @@ MAX_LINE_BYTES = 64 * 1024 * 1024
 DIGEST_BYTES = 32
 ECHO_CHARS = 64
 
-# ((len(h), digest), AggregatedInput, XlpnParams, HashWatermark) of the
-# last aggregate that passed validity, or None.  Swapped as one tuple, so
+# ((len(h), digest), AggregatedInput, HashWatermark) of the last
+# aggregate that passed validity, or None.  Swapped as one tuple, so
 # the verifier threads never see half an entry.
 _last_valid: Optional[tuple] = None
 
@@ -238,10 +244,10 @@ def _encoded_aggregate(agg: AggregatedInput, params: XlpnParams) -> dict:
 
 
 def decode_aggregate(body: dict) -> tuple:
-    """(digest, aggregate, params) of an AGG_INPUT body, hashing the bytes received."""
+    """(digest, aggregate) of an AGG_INPUT body, hashing the bytes received."""
     blob = _hex_field(body, "aggregate")
     try:
-        return (aggregate_digest(blob), *aggregate_from_bytes(blob, "aggregate"))
+        return aggregate_digest(blob), aggregate_from_bytes(blob, "aggregate")[0]
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -341,8 +347,8 @@ class VerifierSession(_Session):
     """Sans-io verifier side of one proof session.
 
     Holds the watermark extracted from the local model and the security
-    parameters the verifier insists on; everything else arrives over the
-    wire.
+    parameters the verifier insists on.  The statement arrives over the
+    wire, and validity against that watermark is what fixes it.
     """
 
     peer = "prover"
@@ -358,7 +364,6 @@ class VerifierSession(_Session):
         self.err_n = err_n
         self._digest: Optional[bytes] = None
         self._pub: Optional[PublicInput] = None
-        self._w: Optional[int] = None
         self._msg1: Optional[RoundMessage1] = None
         self._challenge: Optional[Challenge] = None
 
@@ -379,11 +384,11 @@ class VerifierSession(_Session):
             return [self._send("AGG_REQUEST", {})]
 
         if mtype == "AGG_INPUT":
-            digest, agg, params = decode_aggregate(msg)
+            digest, agg = decode_aggregate(msg)
             if digest != self._digest:
                 raise ProtocolError("aggregate bytes do not match the HELLO digest "
                                     + self._digest.hex())
-            return self._validity((len(self.h), digest), agg, params)
+            return self._validity((len(self.h), digest), agg)
 
         self._check_round(msg)
         if mtype == "COMMIT":
@@ -395,7 +400,7 @@ class VerifierSession(_Session):
 
         # RESPONSE
         resp = decode_response(msg, self._pub.A.rows)
-        ok = verifier_check_round(self._pub, self._msg1, self._challenge, resp, self._w)
+        ok = verifier_check_round(self._pub, self._msg1, self._challenge, resp)
         out = [self._send("ROUND_RESULT", {"round": self.round, "accepted": ok})]
         if not ok:
             self._settle(False, f"round {self.round} rejected")
@@ -409,8 +414,7 @@ class VerifierSession(_Session):
                               {"accepted": self.accepted, "rounds_passed": self.round}))
         return out
 
-    def _validity(self, key: tuple, agg: AggregatedInput, params: XlpnParams,
-                  fresh=None) -> list:
+    def _validity(self, key: tuple, agg: AggregatedInput, fresh=None) -> list:
         """VALIDITY_RESULT for a memo entry, or for a decoded aggregate
         (`fresh` None), which becomes the entry under `key` if it passes."""
         global _last_valid
@@ -421,14 +425,13 @@ class VerifierSession(_Session):
             fresh = hash_watermark(agg, len(self.h))
         ok, dist = validity(self.h, fresh, self.err_n)
         if ok and admit:
-            _last_valid = (key, agg, params, fresh)
+            _last_valid = (key, agg, fresh)
         out = [self._send("VALIDITY_RESULT", {"accepted": ok, "distance": dist})]
         if not ok:
             self._settle(False, "aggregate does not match the embedded watermark")
             out.append(self._send("SESSION_RESULT", {"accepted": False, "rounds_passed": 0}))
             return out
         self._pub = select_component(agg, self.client)
-        self._w = params.w
         self.state = "COMMIT"
         return out
 

@@ -15,6 +15,9 @@ verifier's check both read it:
     c = 1  open C0, C2; accept iff t0 xor pi^-1(t2) xor y is in the image of A
     c = 2  open C1, C2; accept iff weight(t1 xor t2) = w
 
+The weight w is the public input's own field, so the statement a round
+is checked against is the one its (A, y) came with.
+
 Each check leaks nothing about (s, e) on its own, yet answering all three
 for one committed round pins the credential down: a prover without it can
 prepare for at most two challenges, so a single round has soundness error
@@ -165,7 +168,6 @@ def verifier_check_round(
     msg1: RoundMessage1,
     challenge: Challenge,
     resp: RoundResponse,
-    w: int,
 ) -> bool:
     """Accept or reject one round; malformed input rejects rather than raises."""
     try:
@@ -182,7 +184,7 @@ def verifier_check_round(
             if not verify_commit(coms[i], digests[i], _blob(*values[i])):
                 return False
         if c == 2:
-            return (resp.t1 ^ resp.t2).weight() == w
+            return (resp.t1 ^ resp.t2).weight() == pub.w
         t = resp.t0 ^ resp.pi.inverse().apply(resp.t2 if c else resp.t1)
         return in_image(pub.A, t ^ pub.y if c else t)
     except (ValueError, TypeError, AttributeError):
@@ -226,7 +228,6 @@ def cheat_commit(
 def simulate_round(
     pub: PublicInput,
     challenge: Challenge,
-    w: int,
     rng: np.random.Generator,
     l_com: int = DEFAULT_COMMIT_BITS,
 ) -> Transcript:
@@ -253,14 +254,14 @@ def simulate_round(
         t2 = pi.apply(a)
     elif c == 2:
         a = BitVec.random(m, rng)
-        b = sample_fixed_weight(m, w, rng)
+        b = sample_fixed_weight(m, pub.w, rng)
         t1 = a
         t2 = a ^ b
     else:
         raise ValueError(f"challenge must be 0, 1 or 2, got {c}")
     state, msg1 = _commit_round(pi, None, None, t0, t1, t2, rng, l_com)
     resp = prover_respond(state, challenge)
-    accepted = verifier_check_round(pub, msg1, challenge, resp, w)
+    accepted = verifier_check_round(pub, msg1, challenge, resp)
     return Transcript(msg1, challenge, resp, accepted)
 
 

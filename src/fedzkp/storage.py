@@ -9,7 +9,10 @@ extracts the mark from the values training left; a checkpoint's header
 records that width, and a float64 checkpoint from before it is refused.
 Every malformed input raises ValueError.  The aggregate bytes are also
 the protocol's AGG_INPUT payload, so aggregate_to_bytes and
-aggregate_from_bytes hold its layout for both.
+aggregate_from_bytes hold its layout for both.  A loaded public input
+takes its weight w from the header, which must agree with the stored
+tau; a writer refuses parameters that disagree with the instance's m, l
+or w, and a loaded aggregate passes watermark.aggregate's checks.
 
 Credentials are secrets; they get their own file kind and never appear
 inside public-input, aggregate or watermark files.  The embedding
@@ -31,7 +34,7 @@ import numpy as np
 from .gf2 import BitMatrix, BitVec
 from .lpn import Credential, PublicInput, XlpnParams
 from .model import DTYPE, EmbeddingConfig, ModelState, _theta_layout, make_embedding
-from .watermark import AggregatedInput, HashWatermark
+from .watermark import AggregatedInput, HashWatermark, aggregate
 
 MAGIC = b"FEDZKP1"
 
@@ -84,6 +87,26 @@ def _unpack_params(view: memoryview) -> tuple:
     return params, view
 
 
+def _check_fits(m: int, l: int, w: int, params: XlpnParams, what: str):
+    # a header that disagrees with its payload would relabel the statement
+    if (m, l) != (params.m, params.l):
+        raise ValueError(f"{what} dimensions disagree with the parameters")
+    if w != params.w:
+        raise ValueError(f"{what} weight disagrees with the parameters")
+
+
+def _part_bytes(pub: PublicInput) -> bytes:
+    return pub.A.to_bytes() + pub.y.to_bytes()
+
+
+def _read_part(view: memoryview, params: XlpnParams) -> tuple:
+    a_raw, view = _expect(view, _mat_bytes(params.m, params.l), "matrix")
+    y_raw, view = _expect(view, _vec_bytes(params.m), "image vector")
+    pub = PublicInput(BitMatrix.from_bytes(a_raw, params.m, params.l),
+                      BitVec.from_bytes(y_raw, params.m), params.w)
+    return pub, view
+
+
 def _expect(view: memoryview, size: int, what: str) -> tuple:
     if len(view) < size:
         raise ValueError(f"truncated file: missing {what}")
@@ -114,30 +137,22 @@ def load_credential(path: PathLike) -> tuple:
 
 
 def save_public_input(path: PathLike, pub: PublicInput, params: XlpnParams):
-    body = pub.A.to_bytes() + pub.y.to_bytes()
-    _write(path, MAGIC + bytes([KIND_PUBLIC_INPUT]) + _pack_params(params) + body)
+    _check_fits(pub.A.rows, pub.A.cols, pub.w, params, "public input")
+    _write(path, MAGIC + bytes([KIND_PUBLIC_INPUT]) + _pack_params(params) + _part_bytes(pub))
 
 
 def load_public_input(path: PathLike) -> tuple:
     view = _view(Path(path).read_bytes(), KIND_PUBLIC_INPUT, path)
     params, view = _unpack_params(view)
-    a_raw, view = _expect(view, _mat_bytes(params.m, params.l), "matrix")
-    y_raw, view = _expect(view, _vec_bytes(params.m), "image vector")
+    pub, view = _read_part(view, params)
     _done(view, path)
-    pub = PublicInput(A=BitMatrix.from_bytes(a_raw, params.m, params.l),
-                      y=BitVec.from_bytes(y_raw, params.m))
     return pub, params
 
 
 def aggregate_to_bytes(agg: AggregatedInput, params: XlpnParams) -> bytes:
-    if (agg.m, agg.l) != (params.m, params.l):
-        raise ValueError("aggregate dimensions disagree with the parameters")
-    chunks = [MAGIC, bytes([KIND_AGGREGATE]), _pack_params(params),
-              struct.pack("<I", len(agg.parts))]
-    for pub in agg.parts:
-        chunks.append(pub.A.to_bytes())
-        chunks.append(pub.y.to_bytes())
-    return b"".join(chunks)
+    _check_fits(agg.m, agg.l, agg.w, params, "aggregate")
+    return b"".join([MAGIC, bytes([KIND_AGGREGATE]), _pack_params(params),
+                     struct.pack("<I", len(agg.parts)), *map(_part_bytes, agg.parts)])
 
 
 def aggregate_from_bytes(data: bytes, name) -> tuple:
@@ -145,16 +160,12 @@ def aggregate_from_bytes(data: bytes, name) -> tuple:
     params, view = _unpack_params(view)
     raw, view = _expect(view, 4, "client count")
     (count,) = struct.unpack("<I", raw)
-    if count < 1:
-        raise ValueError("aggregate holds no client inputs")
     parts = []
     for _ in range(count):
-        a_raw, view = _expect(view, _mat_bytes(params.m, params.l), "matrix")
-        y_raw, view = _expect(view, _vec_bytes(params.m), "image vector")
-        parts.append(PublicInput(A=BitMatrix.from_bytes(a_raw, params.m, params.l),
-                                 y=BitVec.from_bytes(y_raw, params.m)))
+        pub, view = _read_part(view, params)
+        parts.append(pub)
     _done(view, name)
-    return AggregatedInput(parts=tuple(parts), m=params.m, l=params.l, K=count), params
+    return aggregate(parts), params
 
 
 def save_aggregate(path: PathLike, agg: AggregatedInput, params: XlpnParams):

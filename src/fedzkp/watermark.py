@@ -9,13 +9,15 @@ compared to the recomputed hash under a strict near-collision threshold.
 
 Canonical hash input layout:
 
-    "FEDZKP-H1" || u32le(K) || u32le(m) || u32le(l)
+    "FEDZKP-H2" || u32le(K) || u32le(m) || u32le(l) || u32le(w)
                 || bits of A_1 .. A_K (row-major, concatenated, packed)
                 || bits of y_1 .. y_K (concatenated, packed)
 
 Both bit blocks are packed MSB-first and zero-padded to a byte boundary
 only at the end of the block, so the A block is exactly ceil(K*m*l/8)
-bytes regardless of per-part alignment.
+bytes regardless of per-part alignment.  The hash covers the whole
+statement, the weight w that challenge 2 checks included, so an
+aggregate that passes validity fixes every part of it.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 from .gf2 import BitVec, hamming_distance
 from .lpn import PublicInput
 
-DOMAIN_TAG = b"FEDZKP-H1"
+DOMAIN_TAG = b"FEDZKP-H2"
 DEFAULT_WATERMARK_BITS = 1024
 
 
@@ -37,6 +39,7 @@ class AggregatedInput:
     parts: tuple
     m: int
     l: int
+    w: int
     K: int
 
 
@@ -71,11 +74,13 @@ def aggregate(parts) -> AggregatedInput:
     parts = tuple(parts)
     if not parts:
         raise ValueError("need at least one client input")
-    m, l = parts[0].A.rows, parts[0].A.cols
+    m, l, w = parts[0].A.rows, parts[0].A.cols, parts[0].w
     for p in parts:
         if p.A.rows != m or p.A.cols != l or len(p.y) != m:
             raise ValueError("client inputs disagree on dimensions")
-    return AggregatedInput(parts, m, l, len(parts))
+        if p.w != w:
+            raise ValueError("client inputs disagree on the weight w")
+    return AggregatedInput(parts, m, l, w, len(parts))
 
 
 def select_component(agg: AggregatedInput, j: int) -> PublicInput:
@@ -86,7 +91,7 @@ def select_component(agg: AggregatedInput, j: int) -> PublicInput:
 
 
 def canonical_bytes(agg: AggregatedInput) -> bytes:
-    header = DOMAIN_TAG + agg.K.to_bytes(4, "little") + agg.m.to_bytes(4, "little") + agg.l.to_bytes(4, "little")
+    header = DOMAIN_TAG + b"".join(x.to_bytes(4, "little") for x in (agg.K, agg.m, agg.l, agg.w))
     a_bits = np.concatenate([p.A.array.ravel() for p in agg.parts])
     y_bits = np.concatenate([p.y.bits for p in agg.parts])
     return header + np.packbits(a_bits).tobytes() + np.packbits(y_bits).tobytes()
@@ -105,12 +110,13 @@ def client_check(h: HashWatermark, agg: AggregatedInput, own: PublicInput, K: in
     """Client-side audit of the server's published watermark.
 
     Verifies, in order: the hash really is the hash of the published
-    aggregate, the client's own input appears in it, and the aggregate
-    holds exactly the K client inputs (no server additions or omissions).
+    aggregate, the client's own input appears in it with its A, y and w,
+    and the aggregate holds exactly the K client inputs (no server
+    additions or omissions).
     """
     if hash_watermark(agg, h.n) != h:
         return CheckResult(False, "wrong-hash")
-    if not any(p.A == own.A and p.y == own.y for p in agg.parts):
+    if own not in agg.parts:
         return CheckResult(False, "missing-own")
     if agg.K != K:
         return CheckResult(False, "wrong-count")

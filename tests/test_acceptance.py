@@ -86,7 +86,7 @@ def test_c02_single_round_knowledge_error():
     for _ in range(rounds):
         state, msg1 = cheat_commit(pub, SMALL.w, int(rng.integers(0, 3)), rng, 64)
         ch = verifier_challenge(rng)
-        wins += verifier_check_round(pub, msg1, ch, prover_respond(state, ch), SMALL.w)
+        wins += verifier_check_round(pub, msg1, ch, prover_respond(state, ch))
     rate = wins / rounds
     elapsed = time.perf_counter() - start
     verdict(2, abs(rate - 2 / 3) <= 0.03 and elapsed < budget,
@@ -106,7 +106,7 @@ def test_c03_special_soundness_extraction():
         transcripts = []
         for c in (0, 1, 2):
             resp = prover_respond(state, Challenge(c))
-            ok = verifier_check_round(pub, msg1, Challenge(c), resp, SMALL.w)
+            ok = verifier_check_round(pub, msg1, Challenge(c), resp)
             transcripts.append(Transcript(msg1, Challenge(c), resp, ok))
         s, e = extract_witness(pub, *transcripts)
         hits += (s == cred.s and e == cred.e and e.weight() == SMALL.w)
@@ -125,7 +125,7 @@ def test_c04_hvzk_simulation():
     sims = 10_000
     sim_ok = 0
     for i in range(sims):
-        tr = simulate_round(pub, Challenge(i % 3), SMALL.w, rng, l_com=64)
+        tr = simulate_round(pub, Challenge(i % 3), rng, l_com=64)
         sim_ok += tr.accepted
     all_accept = sim_ok == sims
 
@@ -141,7 +141,7 @@ def test_c04_hvzk_simulation():
         for _ in range(draws):
             state, _ = prover_commit(pub_t, cred_t, rng, l_com=8)
             resp = prover_respond(state, Challenge(c))
-            tr = simulate_round(pub_t, Challenge(c), tiny.w, rng, l_com=8)
+            tr = simulate_round(pub_t, Challenge(c), rng, l_com=8)
             for slot in opened[c]:
                 real[slot][resp_byte(resp, slot)] += 1
                 sim[slot][resp_byte(tr.response, slot)] += 1

@@ -70,7 +70,7 @@ class TestHingeGradient:
         active = violation > 0
         return float(violation[active].sum()), -(E[:, active] @ t[active])
 
-    @pytest.mark.parametrize("case", ["mixed", "all_active", "none_active", "subset_P"])
+    @pytest.mark.parametrize("case", ["mixed", "all_active", "none_active"])
     def test_matches_column_gather(self, case):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -78,13 +78,8 @@ class TestHingeGradient:
             n = int(rng.integers(2, omega + 1))  # n <= omega keeps E.T full rank
             h = BitVec.random(n, rng)
             mu = float(rng.uniform(0.05, 2.0))
-            if case == "subset_P":
-                P = np.sort(rng.choice(omega, size=int(rng.integers(1, omega)), replace=False))
-                config = make_embedding(omega, n, rng, mu_hinge=mu, P=P)
-                gamma, E = rng.standard_normal(omega)[config.P], config.E
-            else:
-                E = rng.standard_normal((omega, n))
-                gamma = rng.standard_normal(omega)
+            E = rng.standard_normal((omega, n))
+            gamma = rng.standard_normal(omega)
             if case == "all_active":
                 mu = 1e6
             elif case == "none_active":
@@ -177,7 +172,7 @@ class TestEmbedding:
         out = embed_data_free(state, h, config, 400)
         rep = detection_rate(h, extract_from_state(out, config))
         assert rep.r == 1.0
-        loss, _ = hinge_loss_and_grad(out.W_gamma[config.P], config.E, h, config.mu_hinge)
+        loss, _ = hinge_loss_and_grad(out.W_gamma, config.E, h, config.mu_hinge)
         assert loss == 0.0
         # theta untouched, original state untouched
         assert np.array_equal(out.theta, state.theta)
@@ -194,17 +189,12 @@ class TestEmbedding:
     def test_config_validation(self):
         rng = np.random.default_rng(10)
         E = rng.standard_normal((8, 4))
-        P = np.arange(8)
+        with pytest.raises(ValueError, match="two-dimensional"):
+            EmbeddingConfig(E=E[:, 0], lam=1.0, mu_hinge=0.5)
         with pytest.raises(ValueError):
-            EmbeddingConfig(E=E, P=np.arange(7), lam=1.0, mu_hinge=0.5)
+            EmbeddingConfig(E=E, lam=-0.1, mu_hinge=0.5)
         with pytest.raises(ValueError):
-            EmbeddingConfig(E=E, P=P, lam=-0.1, mu_hinge=0.5)
-        with pytest.raises(ValueError):
-            EmbeddingConfig(E=E, P=P, lam=1.0, mu_hinge=0.0)
-        # P must be distinct integer indices in one dimension
-        for bad in ([0, 0, 1, 2, 3, 4, 5, 6], np.arange(8.0), np.arange(8).reshape(2, 4)):
-            with pytest.raises(ValueError, match="distinct integer"):
-                EmbeddingConfig(E=E, P=np.array(bad), lam=1.0, mu_hinge=0.5)
+            EmbeddingConfig(E=E, lam=1.0, mu_hinge=0.0)
 
 
 class TestLocalUpdate:
@@ -237,7 +227,7 @@ class TestLocalUpdate:
         state, config = as_float64(state, config)
         empty = (np.empty((0, state.d_in)), np.empty(0, dtype=int))
         out = local_update(state, empty, h, config, epochs=1, lr=0.1)
-        _, grad = hinge_loss_and_grad(state.W_gamma[config.P], config.E, h, config.mu_hinge)
+        _, grad = hinge_loss_and_grad(state.W_gamma, config.E, h, config.mu_hinge)
         expected = state.W_gamma - 0.1 * (2.5 / 16) * grad
         assert np.allclose(out.W_gamma, expected, rtol=0, atol=1e-15)
 

@@ -5,6 +5,7 @@ import socket
 import struct
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 from fedzkp import protocol
 from fedzkp.commitments import Commitment
-from fedzkp.gf2 import BitMatrix
-from fedzkp.lpn import XlpnParams, gen_instance
+from fedzkp.gf2 import BitMatrix, BitVec, mat_vec_mul
+from fedzkp.lpn import Credential, XlpnParams, gen_instance
 from fedzkp.protocol import (
     ProverSession,
     TransportError,
@@ -33,6 +34,8 @@ PARAMS = XlpnParams(m=48, l=32, tau=Fraction(1, 4))
 N_BITS = 64
 ERR_N = 8
 L_COM = 128
+THIRD = XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=Fraction(1, 3))  # w = 16
+SAME_W = XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=Fraction(6, 25))  # another tau, w = 12
 
 
 def make_world(seed=0, K=3, params=PARAMS):
@@ -41,6 +44,11 @@ def make_world(seed=0, K=3, params=PARAMS):
     agg = aggregate([pub for pub, _ in pairs])
     wm = hash_watermark(agg, N_BITS)
     return rng, pairs, agg, wm
+
+
+def relabel(agg, params):
+    """agg's A and y under params's weight: the same bits, another statement."""
+    return aggregate([replace(p, w=params.w) for p in agg.parts])
 
 
 # lines json.loads itself fails on outside JSONDecodeError
@@ -169,9 +177,9 @@ def test_agg_input_carries_the_aggregate_file_bytes(tmp_path):
     doc = encode_aggregate(agg, PARAMS)
     blob = (tmp_path / "aggregate.bin").read_bytes()
     assert bytes.fromhex(doc["aggregate"]) == blob and doc["digest"] == shake(blob)
-    digest, back, params = decode_aggregate(doc)
+    digest, back = decode_aggregate(doc)
     assert digest.hex() == doc["digest"]
-    assert params == PARAMS and hash_watermark(back, N_BITS) == wm
+    assert back == agg and hash_watermark(back, N_BITS) == wm
 
 
 class TestVerifierRejectsBadWire:
@@ -524,7 +532,7 @@ class OneBitCommitForger:
 
     def _respond(self, c):
         while True:
-            tr = simulate_round(self.pub, Challenge(c), PARAMS.w, self.rng, l_com=1)
+            tr = simulate_round(self.pub, Challenge(c), self.rng, l_com=1)
             if tr.msg1 == self.ZEROS:
                 return self._line("RESPONSE", round=self.round, **encode_response(tr.response))
 
@@ -547,7 +555,66 @@ class OneBitCommitForger:
         return []
 
 
+def lightest_opening(pub, rng, tries=20):
+    """A credential-less guess at (s, e): the lightest e = y xor A s of `tries` draws.
+
+    It opens (A, y) exactly; only its weight is off, and a statement
+    relabelled to that weight would accept it.
+    """
+    best = None
+    for _ in range(tries):
+        s = BitVec.random(pub.A.cols, rng)
+        e = pub.y ^ mat_vec_mul(pub.A, s)
+        if best is None or e.weight() < best.e.weight():
+            best = Credential(s, e)
+    return best
+
+
 class TestWireForgeries:
+    def forged_tau(self):
+        """The genuine aggregate, the lightest guessed opening of slot 1, and the
+        genuine parts relabelled to that opening's weight under a matching tau."""
+        rng, pairs, agg, wm = make_world(seed=0)
+        cred = lightest_opening(agg.parts[1], rng)
+        w = cred.e.weight()
+        params = XlpnParams(PARAMS.m, PARAMS.l, Fraction(w, PARAMS.m))
+        assert (w, params.w, PARAMS.w) == (19, 19, 12)
+        return pairs, agg, wm, cred, relabel(agg, params), params
+
+    def test_a_forged_tau_fails_validity(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_last_valid", None)
+        pairs, agg, wm, cred, forged, params = self.forged_tau()
+        genuine = drive(ProverSession(pairs[1][1], agg, PARAMS, 1, d=4,
+                                      rng=np.random.default_rng(1), l_com=L_COM),
+                        VerifierSession(wm.h, ERR_N, d=4, rng=np.random.default_rng(2),
+                                        l_com=L_COM))[1]
+        assert genuine.accepted
+        entry = protocol._last_valid
+        prover = ProverSession(cred, forged, params, 1, d=40,
+                               rng=np.random.default_rng(3), l_com=L_COM)
+        verifier = VerifierSession(wm.h, ERR_N, d=40, rng=np.random.default_rng(4),
+                                   l_com=L_COM)
+        drive(prover, verifier)
+        sent = [json.loads(line) for line in verifier.transcript]
+        assert [m["type"] for m in sent] == ["HELLO", "AGG_REQUEST", "AGG_INPUT",
+                                            "VALIDITY_RESULT", "SESSION_RESULT"]
+        assert sent[3]["accepted"] is False and sent[3]["distance"] >= ERR_N
+        assert verifier.done and not verifier.accepted and verifier.round == 0
+        assert protocol._last_valid is entry
+
+    def test_the_forged_tau_passes_against_its_own_mark(self, monkeypatch):
+        # control: the opening is a real credential for the relabelled
+        # statement, so binding w into the mark is what stops the forgery
+        monkeypatch.setattr(protocol, "_last_valid", None)
+        _, _, _, cred, forged, params = self.forged_tau()
+        own = hash_watermark(forged, N_BITS)
+        prover = ProverSession(cred, forged, params, 1, d=40,
+                               rng=np.random.default_rng(3), l_com=L_COM)
+        verifier = VerifierSession(own.h, ERR_N, d=40, rng=np.random.default_rng(4),
+                                   l_com=L_COM)
+        drive(prover, verifier)
+        assert verifier.accepted and verifier.round == 40
+
     def test_commit_with_a_foreign_l_com_is_rejected(self):
         rng, pairs, agg, wm = make_world(seed=16)
         verifier = VerifierSession(wm.h, ERR_N, d=40, rng=np.random.default_rng(17),
@@ -945,9 +1012,8 @@ class TestAggregateMemo:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_bytes_unlike_the_digest_are_rejected(self, warm):
         genuine = encode_aggregate(self.agg, PARAMS)
-        third = encode_aggregate(self.agg, XlpnParams(m=PARAMS.m, l=PARAMS.l,
-                                                      tau=Fraction(1, 3)))
-        # the same parts under another tau: only the header differs
+        third = encode_aggregate(relabel(self.agg, THIRD), THIRD)
+        # the same A and y relabelled to another w: only the header differs
         head = 2 * HEADER_BYTES
         assert third["aggregate"][:head] != genuine["aggregate"][:head]
         assert third["aggregate"][head:] == genuine["aggregate"][head:]
@@ -1081,24 +1147,36 @@ class TestAggregateInputLine:
         self.agg_line(self.agg, XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=PARAMS.tau))
         assert self.encodes == 1
 
+    @pytest.mark.parametrize("params, match", [
+        (THIRD, "weight"), (XlpnParams(m=PARAMS.m, l=PARAMS.l - 8, tau=PARAMS.tau), "dimensions"),
+    ], ids=["weight", "dimensions"])
+    def test_params_that_relabel_the_aggregate_are_refused(self, params, match):
+        # a header must state the aggregate's own m, l and w
+        with pytest.raises(ValueError, match=match):
+            encode_aggregate(self.agg, params)
+        prover = ProverSession(self.pairs[0][1], self.agg, params, 0, d=4, rng=self.rng)
+        with pytest.raises(ValueError, match=match):
+            prover.start()
+        assert protocol._last_sent is None
+
     def test_no_stale_bytes_across_aggregates_or_tau(self):
         _, other_pairs, other, _ = make_world(seed=32)
         worlds = [(self.agg, PARAMS, self.pairs[0][1]), (other, PARAMS, other_pairs[0][1])]
-        third = XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=Fraction(1, 3))
-        worlds += worlds + [(self.agg, third, None), (self.agg, PARAMS, None)]
+        worlds += worlds + [(relabel(self.agg, THIRD), THIRD, None),
+                            (self.agg, SAME_W, None), (self.agg, PARAMS, None)]
         for agg, params, cred in worlds:
             _, line = self.agg_line(agg, params, cred)
             doc = json.loads(line)
             assert doc["aggregate"] == encode_aggregate(agg, params)["aggregate"]
-            assert decode_aggregate(doc)[2] == params
+            assert decode_aggregate(doc)[1] == agg
 
     def test_threads_never_send_another_threads_aggregate(self):
         _, other_pairs, other, _ = make_world(seed=33)
-        third = XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=Fraction(1, 3))
         worlds = [(agg, params, cred, encode_aggregate(agg, params)["aggregate"])
                   for agg, params, cred in ((self.agg, PARAMS, self.pairs[0][1]),
                                             (other, PARAMS, other_pairs[0][1]),
-                                            (self.agg, third, self.pairs[0][1]))]
+                                            (relabel(self.agg, THIRD), THIRD,
+                                             self.pairs[0][1]))]
         errors = []
 
         def worker(i):

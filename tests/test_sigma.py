@@ -103,7 +103,7 @@ def test_completeness_all_challenges_many_instances():
         state, msg1 = prover_commit(pub, cred, rng, l_com=64)
         for c in (0, 1, 2):
             resp = prover_respond(state, Challenge(c))
-            assert verifier_check_round(pub, msg1, Challenge(c), resp, SMALL.w)
+            assert verifier_check_round(pub, msg1, Challenge(c), resp)
 
 
 def test_knowledge_error():
@@ -121,11 +121,11 @@ def test_tampered_openings_rejected():
     state, msg1, resp = honest_round(pub, cred, 2, rng)
     flipped = resp.t1 ^ BitVec([1] + [0] * 11)
     bad = replace(resp, t1=flipped)
-    assert not verifier_check_round(pub, msg1, Challenge(2), bad, SMALL.w)
+    assert not verifier_check_round(pub, msg1, Challenge(2), bad)
 
     state, msg1, resp = honest_round(pub, cred, 0, rng)
     bad = replace(resp, d0=b"\x00" * 32)
-    assert not verifier_check_round(pub, msg1, Challenge(0), bad, SMALL.w)
+    assert not verifier_check_round(pub, msg1, Challenge(0), bad)
 
 
 # the response fields each challenge opens; the other fields are never read
@@ -154,20 +154,20 @@ def test_only_a_broken_opened_field_rejects(round_per_challenge, c, field, broke
     pub, rounds = round_per_challenge
     msg1, resp = rounds[c]
     bad = replace(resp, **{field: None if broken == "none" else wrong_length(field)})
-    got = verifier_check_round(pub, msg1, Challenge(c), bad, SMALL.w)
+    got = verifier_check_round(pub, msg1, Challenge(c), bad)
     assert got is (field not in OPENED_FIELDS[c])
 
 
 def test_malformed_response_rejects_without_raising(round_per_challenge):
     pub, rounds = round_per_challenge
     for c, (msg1, resp) in rounds.items():
-        assert verifier_check_round(pub, msg1, Challenge(c), resp, SMALL.w) is True
+        assert verifier_check_round(pub, msg1, Challenge(c), resp) is True
         for other in {0, 1, 2} - {c}:  # challenge mismatch
-            assert verifier_check_round(pub, msg1, Challenge(other), resp, SMALL.w) is False
+            assert verifier_check_round(pub, msg1, Challenge(other), resp) is False
         for out_of_range in (3, -1):  # on both sides
             bad = replace(resp, c=out_of_range)
-            assert verifier_check_round(pub, msg1, out_of_range, bad, SMALL.w) is False
-        assert verifier_check_round(pub, msg1, Challenge(c), None, SMALL.w) is False
+            assert verifier_check_round(pub, msg1, out_of_range, bad) is False
+        assert verifier_check_round(pub, msg1, Challenge(c), None) is False
 
 
 @pytest.mark.parametrize("length, weight", [(8, SMALL.w), (16, SMALL.w), (SMALL.m, SMALL.w - 1),
@@ -181,7 +181,7 @@ def test_challenge_two_needs_openings_m_long_at_weight_w(length, weight):
     t2 = t1 ^ sample_fixed_weight(length, weight, rng)
     (C0, _), (C1, o1), (C2, o2) = commit_batch([b"\x00", t1.to_bytes(), t2.to_bytes()], rng, 64)
     resp = RoundResponse(2, None, None, t1, t2, None, o1.d, o2.d)
-    got = verifier_check_round(pub, RoundMessage1(C0, C1, C2), Challenge(2), resp, SMALL.w)
+    got = verifier_check_round(pub, RoundMessage1(C0, C1, C2), Challenge(2), resp)
     assert got is (length == SMALL.m and weight == SMALL.w)
 
 
@@ -190,7 +190,7 @@ def test_wrong_weight_fails_challenge_two():
     pub, cred = gen_instance(SMALL, rng)
     state, msg1 = cheat_commit(pub, SMALL.w, 2, rng)
     resp = prover_respond(state, Challenge(2))
-    assert not verifier_check_round(pub, msg1, Challenge(2), resp, SMALL.w)
+    assert not verifier_check_round(pub, msg1, Challenge(2), resp)
 
 
 # ------------------------------------------------------------------- cheating
@@ -209,7 +209,7 @@ def test_cheater_answers_exactly_the_other_two():
             state, msg1 = cheat_commit(pub, CHEAT.w, unanswerable, rng, l_com=64)
             for c in (0, 1, 2):
                 resp = prover_respond(state, Challenge(c))
-                got = verifier_check_round(pub, msg1, Challenge(c), resp, CHEAT.w)
+                got = verifier_check_round(pub, msg1, Challenge(c), resp)
                 if c != unanswerable:
                     assert got
                 else:
@@ -229,7 +229,7 @@ def test_cheater_rate_near_two_thirds():
         state, msg1 = cheat_commit(pub, CHEAT.w, guess, rng, l_com=64)
         ch = verifier_challenge(rng)
         resp = prover_respond(state, ch)
-        wins += verifier_check_round(pub, msg1, ch, resp, CHEAT.w)
+        wins += verifier_check_round(pub, msg1, ch, resp)
     assert 0.60 < wins / trials < 0.73
 
 
@@ -240,7 +240,7 @@ def test_simulator_accepts_every_challenge():
     pub, _ = gen_instance(SMALL, rng)
     for c in (0, 1, 2):
         for _ in range(300):
-            tr = simulate_round(pub, Challenge(c), SMALL.w, rng, l_com=64)
+            tr = simulate_round(pub, Challenge(c), rng, l_com=64)
             assert tr.accepted
             if c == 2:
                 assert (tr.response.t1 ^ tr.response.t2).weight() == SMALL.w
@@ -265,7 +265,7 @@ def test_simulator_marginals_match_real_prover():
             resp = prover_respond(state, Challenge(c))
             for slot in opened[c]:
                 real[slot][as_byte(getattr(resp, slot))] += 1
-            tr = simulate_round(pub, Challenge(c), params.w, rng, l_com=8)
+            tr = simulate_round(pub, Challenge(c), rng, l_com=8)
             for slot in opened[c]:
                 sim[slot][as_byte(getattr(tr.response, slot))] += 1
         for slot in opened[c]:
@@ -283,7 +283,7 @@ def triple(pub, cred, rng, l_com=64):
         from fedzkp.sigma import Transcript
 
         out.append(
-            Transcript(msg1, Challenge(c), resp, verifier_check_round(pub, msg1, Challenge(c), resp, cred.e.weight()))
+            Transcript(msg1, Challenge(c), resp, verifier_check_round(pub, msg1, Challenge(c), resp))
         )
     return out
 
@@ -307,7 +307,7 @@ def test_extractor_on_identity_block_matrix():
     A = BitMatrix(A_rows)
     s = BitVec([1, 0, 1, 1])
     e = BitVec([0, 1, 0, 0, 1, 0])
-    pub = PublicInput(A, mat_vec_mul(A, s) ^ e)
+    pub = PublicInput(A, mat_vec_mul(A, s) ^ e, e.weight())
     cred = Credential(s, e)
     tr0, tr1, tr2 = triple(pub, cred, rng)
     s_out, e_out = extract_witness(pub, tr0, tr1, tr2)

@@ -96,7 +96,7 @@ class TestPublicInputFiles:
         path = tmp_path / "pub.bin"
         save_public_input(path, pub, PARAMS)
         back, params = load_public_input(path)
-        assert back.A == pub.A and back.y == pub.y and params == PARAMS
+        assert back == pub and back.w == PARAMS.w and params == PARAMS
         assert back.y == mat_vec_mul(back.A, cred.s) ^ cred.e
 
     def test_file_never_contains_credential(self, tmp_path, rng):
@@ -107,6 +107,12 @@ class TestPublicInputFiles:
         blob = path.read_bytes()
         assert cred.s.to_bytes() not in blob[20:]
         assert cred.e.to_bytes() not in blob[20:]
+
+
+    def test_dimension_mismatch_rejected(self, tmp_path, rng):
+        pub, _ = gen_instance(PARAMS, rng)
+        with pytest.raises(ValueError, match="dimensions"):
+            save_public_input(tmp_path / "pub.bin", pub, XlpnParams(m=48, l=24, tau=Fraction(1, 4)))
 
 
 class TestAggregateFiles:
@@ -125,6 +131,27 @@ class TestAggregateFiles:
         other = XlpnParams(m=48, l=24, tau=Fraction(1, 4))
         with pytest.raises(ValueError, match="dimensions"):
             save_aggregate(tmp_path / "agg.bin", agg, other)
+
+    def test_round_trip_keeps_the_statement(self, tmp_path, rng):
+        agg = aggregate([gen_instance(PARAMS, rng)[0] for _ in range(3)])
+        save_aggregate(tmp_path / "agg.bin", agg, PARAMS)
+        back, _ = load_aggregate(tmp_path / "agg.bin")
+        assert back == agg and back.w == PARAMS.w
+
+
+# a header whose tau gives another w would relabel the statement
+OTHER_W = XlpnParams(m=48, l=32, tau=Fraction(1, 3))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, pub: save_public_input(path, pub, OTHER_W),
+    lambda path, pub: save_aggregate(path, aggregate([pub]), OTHER_W),
+], ids=["public_input", "aggregate"])
+def test_a_header_with_another_weight_is_refused(tmp_path, rng, write):
+    pub, _ = gen_instance(PARAMS, rng)
+    with pytest.raises(ValueError, match="weight"):
+        write(tmp_path / "file.bin", pub)
+    assert not (tmp_path / "file.bin").exists()
 
 
 # every file kind that opens with the (m, l, tau, w) header

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,24 +16,27 @@ from fedzkp.watermark import (
     validity,
 )
 
-GOLDEN_ZERO_64 = "038acd000a002612"  # frozen once from a reference SHAKE-256 run
+GOLDEN_ZERO_64 = "4eb5fb38bc736b25"  # frozen once from a reference SHAKE-256 run
 
 
 def random_parts(k, m, l, seed):
     rng = np.random.default_rng(seed)
-    return [PublicInput(BitMatrix.random(m, l, rng), BitVec.random(m, rng)) for _ in range(k)]
+    return [PublicInput(BitMatrix.random(m, l, rng), BitVec.random(m, rng), m // 4)
+            for _ in range(k)]
 
 
 def test_golden_vector_and_independent_oracle():
-    agg = aggregate([PublicInput(BitMatrix(np.zeros((8, 4), dtype=np.uint8)), BitVec.zeros(8))])
+    zero = PublicInput(BitMatrix(np.zeros((8, 4), dtype=np.uint8)), BitVec.zeros(8), 2)
+    agg = aggregate([zero])
     h = hash_watermark(agg, 64)
     assert h.h.to_bytes().hex() == GOLDEN_ZERO_64
     # oracle: rebuild the canonical bytes by hand and hash directly
     payload = (
-        b"FEDZKP-H1"
+        b"FEDZKP-H2"
         + (1).to_bytes(4, "little")
         + (8).to_bytes(4, "little")
         + (4).to_bytes(4, "little")
+        + (2).to_bytes(4, "little")
         + bytes(4)
         + bytes(1)
     )
@@ -49,6 +53,14 @@ def test_hash_deterministic_and_order_sensitive():
     assert swapped != h1
 
 
+def test_hash_binds_the_weight():
+    # the same A and y under another w are another statement, with another mark
+    p = random_parts(2, 16, 8, 0)
+    relabelled = aggregate([replace(x, w=x.w + 1) for x in p])
+    assert relabelled.w == p[0].w + 1
+    assert hash_watermark(relabelled, 128) != hash_watermark(aggregate(p), 128)
+
+
 def test_aggregate_validation_and_selection():
     p = random_parts(3, 12, 6, 1)
     agg = aggregate(p)
@@ -61,6 +73,8 @@ def test_aggregate_validation_and_selection():
         aggregate([])
     with pytest.raises(ValueError):
         aggregate(p + random_parts(1, 12, 7, 2))
+    with pytest.raises(ValueError, match="weight"):
+        aggregate(p[:2] + [replace(p[2], w=p[2].w + 1)])
 
 
 def test_serialized_sizes_at_reference_parameters():
@@ -68,7 +82,7 @@ def test_serialized_sizes_at_reference_parameters():
     p = random_parts(10, 800, 700, 3)
     blob = canonical_bytes(aggregate(p))
     assert 10 * 800 * 700 == 5_600_000
-    assert len(blob) == 21 + 5_600_000 // 8 + 10 * 800 // 8
+    assert len(blob) == 25 + 5_600_000 // 8 + 10 * 800 // 8
 
 
 def test_avalanche():
@@ -78,11 +92,11 @@ def test_avalanche():
     base = hash_watermark(aggregate(p), n)
     dists = []
     for _ in range(1000):
-        q = [PublicInput(x.A, x.y) for x in p]
+        q = list(p)
         j = int(rng.integers(0, 2))
         arr = q[j].A.array.copy()
         arr[rng.integers(0, 16), rng.integers(0, 8)] ^= 1
-        q[j] = PublicInput(BitMatrix(arr), q[j].y)
+        q[j] = replace(q[j], A=BitMatrix(arr))
         dists.append(np.count_nonzero(hash_watermark(aggregate(q), n).h.bits != base.h.bits))
     mean = float(np.mean(dists))
     assert 0.45 * n < mean < 0.55 * n
@@ -109,6 +123,18 @@ def test_client_check_reasons():
     # server appended its own extra input (hash honestly recomputed)
     extra = aggregate(parts + [gen_instance(params, rng)[0]])
     assert client_check(hash_watermark(extra, 64), extra, parts[2], 4).reason == "wrong-count"
+
+
+def test_client_check_covers_the_weight():
+    # the server publishes every client's A and y, but under another w,
+    # with the hash it computed itself: the client's own statement is not in it
+    params = XlpnParams(m=12, l=8, tau=Fraction(1, 4))
+    rng = np.random.default_rng(6)
+    parts = [gen_instance(params, rng)[0] for _ in range(4)]
+    relabelled = aggregate([replace(p, w=p.w + 1) for p in parts])
+    h = hash_watermark(relabelled, 64)
+    assert client_check(h, relabelled, parts[2], 4).reason == "missing-own"
+    assert client_check(h, relabelled, relabelled.parts[2], 4)
 
 
 def test_validity_boundary_is_strict():
@@ -145,7 +171,7 @@ def test_random_aggregate_never_near_collides():
     n, err_n = 128, 3
     h_x = hash_watermark(true_agg, n)
     target = int.from_bytes(h_x.h.to_bytes(), "big")
-    header = b"FEDZKP-H1" + (1).to_bytes(4, "little") + (8).to_bytes(4, "little") + (4).to_bytes(4, "little")
+    header = b"FEDZKP-H2" + b"".join(x.to_bytes(4, "little") for x in (1, 8, 4, 2))
     hits = 0
     samples = []
     for i in range(1_000_000):
@@ -160,5 +186,5 @@ def test_random_aggregate_never_near_collides():
     for body, dist in samples:
         A = BitMatrix.from_bytes(body[:4], 8, 4)
         y = BitVec.from_bytes(body[4:], 8)
-        forged = hash_watermark(aggregate([PublicInput(A, y)]), n)
+        forged = hash_watermark(aggregate([PublicInput(A, y, 2)]), n)
         assert validity(h_x.h, forged, err_n) == (dist < err_n, dist)
