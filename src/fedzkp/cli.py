@@ -37,7 +37,7 @@ from .costs import cost_report
 from .lpn import XlpnParams, gen_instance
 from .model import detection_rate, extract_from_state, make_federation_data, run_federation
 from .protocol import TransportError, run_prover_endpoint, run_verifier_endpoint
-from .storage import (load_aggregate, load_checkpoint, load_credential,
+from .storage import (_write_json, load_aggregate, load_checkpoint, load_credential,
                       load_embedding_config, load_public_input, load_watermark,
                       save_aggregate, save_checkpoint, save_credential,
                       save_embedding_config, save_history, save_public_input,
@@ -117,7 +117,7 @@ def cmd_init(args) -> int:
         params["p_r"] = args.pr
     _xlpn(params)  # validates sizes before anything lands on disk
     seed = _seed_from(args)
-    (ws / "params.json").write_text(json.dumps(params, indent=2) + "\n")
+    _write_json(ws / "params.json", params, indent=2)
     save_embedding_config(ws / "embedding.json", params["omega"], params["n"],
                           seed, args.lam, args.mu_hinge)
     print(f"initialized {ws}: m={params['m']} l={params['l']} K={params['K']} "
@@ -191,7 +191,7 @@ def cmd_train(args) -> int:
         "lr": args.lr, "batch": args.batch,
         "gamma_scale": args.gamma_scale, "center_scale": args.center_scale,
     }
-    (ws / "train.json").write_text(json.dumps(record, indent=2) + "\n")
+    _write_json(ws / "train.json", record, indent=2)
     last = history[-1]
     print(f"trained {args.rounds} rounds: r={last.report.r:.4f} accuracy={last.accuracy:.4f}")
     return 0

@@ -19,11 +19,16 @@ inside public-input, aggregate or watermark files.  The embedding
 directions are not stored at all: the config file keeps the RNG seed
 they were drawn from, which is smaller and tamper-evident in one value;
 the float32 E regrown from it is the float64 stream rounded.
+
+Every file goes through _write, which rewrites it in place.  That is not
+atomic: a crash mid-rewrite can leave the new head over the old tail.
+The loaders refuse the trailing bytes when the new payload is shorter;
+at the same length the file loads with mixed contents.
 """
 from __future__ import annotations
 
-import csv
 import json
+import os
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -60,7 +65,20 @@ def _mat_bytes(m: int, l: int) -> int:
 
 
 def _write(path: PathLike, payload: bytes):
-    Path(path).write_bytes(payload)
+    # no O_TRUNC: freeing blocks already on disk costs tens of ms on a
+    # filesystem mounted with discard, and the rewrite would reuse them
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(payload))
+    finally:
+        os.close(fd)
+
+
+def _write_json(path: PathLike, doc: dict, indent=None):
+    _write(path, (json.dumps(doc, indent=indent) + "\n").encode())
 
 
 def _view(data: bytes, kind: int, name) -> memoryview:
@@ -177,8 +195,7 @@ def load_aggregate(path: PathLike) -> tuple:
 
 
 def save_watermark(path: PathLike, wm: HashWatermark):
-    doc = {"n": wm.n, "h": wm.h.to_bytes().hex()}
-    Path(path).write_text(json.dumps(doc) + "\n")
+    _write_json(path, {"n": wm.n, "h": wm.h.to_bytes().hex()})
 
 
 def load_watermark(path: PathLike) -> HashWatermark:
@@ -226,8 +243,7 @@ def load_checkpoint(path: PathLike) -> ModelState:
 def save_embedding_config(path: PathLike, omega: int, n: int, seed: int,
                           lam: float, mu_hinge: float):
     """The embedding directions regrow from the seed, so only it is kept."""
-    doc = {"omega": omega, "n": n, "seed": seed, "lam": lam, "mu_hinge": mu_hinge}
-    Path(path).write_text(json.dumps(doc) + "\n")
+    _write_json(path, {"omega": omega, "n": n, "seed": seed, "lam": lam, "mu_hinge": mu_hinge})
 
 
 def load_embedding_config(path: PathLike) -> EmbeddingConfig:
@@ -238,8 +254,6 @@ def load_embedding_config(path: PathLike) -> EmbeddingConfig:
 
 
 def save_history(path: PathLike, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "r", "accuracy"])
-        for rec in history:
-            writer.writerow([rec.round, f"{rec.report.r:.6f}", f"{rec.accuracy:.6f}"])
+    rows = ["round,r,accuracy"] + [f"{rec.round},{rec.report.r:.6f},{rec.accuracy:.6f}"
+                                   for rec in history]
+    _write(path, "".join(row + "\r\n" for row in rows).encode())  # csv's line ends

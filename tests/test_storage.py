@@ -1,11 +1,15 @@
 """Round-trip and corruption tests for the on-disk formats."""
+import ast
 import csv
+import os
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedzkp
 from fedzkp.gf2 import BitVec, mat_vec_mul
 from fedzkp.lpn import XlpnParams, gen_instance
 from fedzkp.model import ModelState, RoundRecord, DetectionReport, init_model, make_embedding
@@ -308,3 +312,150 @@ class TestHistoryFiles:
         save_history(path, [])
         with open(path, newline="") as fh:
             assert list(csv.reader(fh)) == [["round", "r", "accuracy"]]
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def saved_kinds(rng):
+    """Every kind of file the package writes: a saver and a check that
+    the file reads back as what was saved."""
+    pub, cred = gen_instance(PARAMS, rng)
+    agg = aggregate([pub, gen_instance(PARAMS, rng)[0]])
+    wm = hash_watermark(agg, 64)
+    state = init_model(64, rng, d_in=8, classes=5)
+    embed = make_embedding(128, 32, np.random.default_rng(99), lam=2.0, mu_hinge=1.5)
+    history = [RoundRecord(round=1, report=DetectionReport(r=0.5, err=16), accuracy=0.25)]
+
+    def same_state(path):
+        back = load_checkpoint(path)
+        return (np.array_equal(back.theta, state.theta)
+                and np.array_equal(back.W_gamma, state.W_gamma))
+
+    return {
+        "credential": (lambda path: save_credential(path, cred, PARAMS),
+                       lambda path: load_credential(path) == (cred, PARAMS)),
+        "public_input": (lambda path: save_public_input(path, pub, PARAMS),
+                         lambda path: load_public_input(path) == (pub, PARAMS)),
+        "aggregate": (lambda path: save_aggregate(path, agg, PARAMS),
+                      lambda path: load_aggregate(path) == (agg, PARAMS)),
+        "checkpoint": (lambda path: save_checkpoint(path, state), same_state),
+        "watermark": (lambda path: save_watermark(path, wm),
+                      lambda path: load_watermark(path) == wm),
+        "embedding_config": (
+            lambda path: save_embedding_config(path, omega=128, n=32, seed=99,
+                                               lam=2.0, mu_hinge=1.5),
+            lambda path: np.array_equal(load_embedding_config(path).E, embed.E)),
+        "history": (lambda path: save_history(path, history),
+                    lambda path: _rows(path) == [["round", "r", "accuracy"],
+                                                 ["1", "0.500000", "0.250000"]]),
+    }
+
+
+KINDS = sorted(saved_kinds(np.random.default_rng(0)))
+
+
+class TestRewrites:
+    """A rewrite overwrites the file in place and cuts any old tail."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_shorter_rewrite_cuts_the_old_tail(self, tmp_path, rng, kind):
+        save, reads_back = saved_kinds(rng)[kind]
+        fresh, path = tmp_path / "fresh", tmp_path / "file"
+        save(fresh)
+        path.write_bytes(b"\xff" * (fresh.stat().st_size + 4096))
+        save(path)
+        assert reads_back(path)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_rewrite_keeps_the_inode_and_never_truncates(self, tmp_path, rng,
+                                                           monkeypatch, kind):
+        save, reads_back = saved_kinds(rng)[kind]
+        path = tmp_path / "file"
+        save(path)
+        inode = path.stat().st_ino
+        flags, real_open = [], os.open
+
+        def spy(file, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(file, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        save(path)
+        monkeypatch.undo()
+        assert flags and not any(flag & os.O_TRUNC for flag in flags)
+        assert path.stat().st_ino == inode
+        assert reads_back(path)
+
+    def test_short_writes_are_resumed(self, tmp_path, rng, monkeypatch):
+        save, reads_back = saved_kinds(rng)["aggregate"]
+        fresh, path = tmp_path / "fresh", tmp_path / "file"
+        save(fresh)
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:100]))
+        save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == fresh.read_bytes()
+        assert reads_back(path)
+
+
+def _file_write(call: ast.Call):
+    """What `call` writes a file with, or None when it writes none."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return name
+    if name != "open":
+        return None
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return "os.open"  # flags, not a mode: only the one writer may call it
+    at = 1 if isinstance(func, ast.Name) else 0  # open(path, mode) or path.open(mode)
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[at] if len(call.args) > at else None)
+    if mode is None:
+        return None
+    if isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"):
+        return None
+    return f"open({ast.unparse(mode)})"
+
+
+def file_writes(source: str):
+    """(enclosing function, how) for each call in `source` that writes a file."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (how := _file_write(child)):
+                found.append((func, how))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_file_is_written_by_the_one_writer():
+    # the transcript append frees no block, so it keeps its own open
+    allowed = [("protocol.py", "_run", "open('a')"), ("storage.py", "_write", "os.open")]
+    src = Path(fedzkp.__file__).resolve().parent
+    writes = sorted((path.name, func, how) for path in src.glob("*.py")
+                    for func, how in file_writes(path.read_text()))
+    assert writes == allowed
+
+
+def test_the_scan_sees_each_way_of_writing():
+    source = """
+def f(p):
+    p.write_text("x")
+    open(p, "wb")
+    p.open(mode="a")
+    open(p, mode)
+    os.open(p, os.O_RDONLY)
+    open(p)
+    p.open("rb")
+"""
+    assert [how for _, how in file_writes(source)] == [
+        "write_text", "open('wb')", "open('a')", "open(mode)", "os.open"]
