@@ -9,7 +9,9 @@ matrix, so roughly cubically.  Fits are least-squares in log-log space.
 
 Each verification call gets a rebuilt matrix object on purpose: the
 column basis is cached per object, and a verifier meeting an aggregate
-for the first time pays for the elimination.
+for the first time pays for the echelon pass plus the back-substitution
+that gives the parity checks; later rounds on that object pay only a
+syndrome test.
 """
 from __future__ import annotations
 

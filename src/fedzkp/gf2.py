@@ -1,10 +1,15 @@
 """Dense linear algebra over GF(2): bit vectors, bit matrices, permutations.
 
 Values keep one bit per byte (numpy uint8, each entry 0 or 1) so that
-elementwise work, matrix application and packing all run in C.  Linear
-solving instead packs each matrix column into a Python integer and runs
-the standard XOR-echelon walk: the XOR of two columns is a single big-int
-operation regardless of height.
+elementwise work, matrix application and packing all run in C.  A matrix
+answers column-space questions from a basis built lazily in two stages.
+Stage 1, all that rank() needs, is the XOR-echelon pass over the columns
+packed into Python integers: the XOR of two columns is a single big-int
+operation regardless of height.  Stage 2, built on the first membership
+or solve query, back-substitutes that basis into reduced form and keeps
+it as packed uint64 words: the parity-check rows H of the column space
+and, per pivot, the columns that XOR to its reduced vector.  b is in the
+image iff every row of H meets it in an even number of bits.
 
 Serialization convention used by every module downstream: bits pack 8 per
 byte, most significant bit first within each byte; a matrix serializes
@@ -44,14 +49,16 @@ def _as_bit_array(bits, ndim: int) -> np.ndarray:
     return arr
 
 
-def _pack_int(bits: np.ndarray) -> int:
-    """Pack a 0/1 array into an int with bit k of the result = bits[k]."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a 0/1 array into little-endian uint64 words.
 
-
-def _unpack_int(value: int, n: int) -> np.ndarray:
-    data = value.to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n, bitorder="little")
+    Bit k lands in word k // 64 at bit k % 64.  The padding past the last
+    bit is zero, so two packed rows ANDed together count only real bits.
+    """
+    n = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + ((n + 63) // 64 * 8,), dtype=np.uint8)
+    out[..., :(n + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8")
 
 
 class BitVec:
@@ -133,13 +140,14 @@ class BitVec:
 class BitMatrix:
     """Immutable matrix over GF(2), row-major, one bit per byte."""
 
-    __slots__ = ("_a", "_basis")
+    __slots__ = ("_a", "_basis", "_reduced")
 
     def __init__(self, rows):
         arr = _as_bit_array(rows, 2)
         arr.setflags(write=False)
         self._a = arr
         self._basis = None
+        self._reduced = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "BitMatrix":
@@ -147,6 +155,7 @@ class BitMatrix:
         arr.setflags(write=False)
         mat._a = arr
         mat._basis = None
+        mat._reduced = None
         return mat
 
     @classmethod
@@ -216,6 +225,51 @@ class BitMatrix:
                     c ^= hit[1]
             self._basis = basis
         return self._basis
+
+    def _reduced_basis(self) -> tuple:
+        """(H, pivots, combos): stage 2 of the column basis, built on first use.
+
+        Back-substitution clears every other pivot bit from each basis
+        vector, highest pivot first, so each vector XORs in only the
+        already reduced vectors at its own set pivot bits.  In reduced form
+        a member b is the XOR of the vectors at the pivots where b is set,
+        which gives what is kept here, H and combos as uint64 words:
+
+        - H, one parity-check row per non-pivot row n of A: bit n, and bit
+          p for each pivot p whose reduced vector has bit n set.  b is in
+          the column space iff every row of H is even on b.
+        - pivots, the pivot row positions, and combos, row i the original
+          columns that XOR to the reduced vector at pivots[i].
+
+        Cached like the stage-1 basis, with the same benign race.
+        """
+        if self._reduced is None:
+            basis = self._column_basis()
+            m, r = self.rows, len(basis)
+            mask = sum(basis)  # the pivots are distinct powers of two
+            # each row carries its combination above bit m, so one XOR moves both
+            reduced: dict = {}
+            for low in sorted(basis, reverse=True):
+                v, c = basis[low]
+                row = v | c << m
+                hits = (v ^ low) & mask  # the other pivots set in v, all above low
+                while hits:
+                    bit = hits & -hits
+                    row ^= reduced[bit]
+                    hits ^= bit
+                reduced[low] = row
+            width = m + self.cols
+            stride = (width + 7) // 8
+            data = b"".join(row.to_bytes(stride, "little") for row in reduced.values())
+            rows = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(r, stride),
+                                 axis=1, count=width, bitorder="little")
+            pivots = np.array([low.bit_length() - 1 for low in reduced], dtype=np.int64)
+            free = np.delete(np.arange(m), pivots)
+            checks = np.zeros((m - r, m), dtype=np.uint8)
+            checks[:, pivots] = rows[:, free].T
+            checks[np.arange(m - r), free] = 1
+            self._reduced = (_pack_words(checks), pivots, _pack_words(rows[:, m:]))
+        return self._reduced
 
 
 class Permutation:
@@ -353,23 +407,19 @@ def solve_linear(A: BitMatrix, b: BitVec) -> Optional[BitVec]:
     (first-come) independent column set, every other coordinate is 0.
     Unique automatically when A has full column rank.
     """
-    if len(b) != A.rows:
-        raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} against len {len(b)}")
-    basis = A._column_basis()
-    r = _pack_int(b.bits)
-    x = 0
-    while r:
-        hit = basis.get(r & -r)
-        if hit is None:
-            return None
-        r ^= hit[0]
-        x ^= hit[1]
-    return BitVec._wrap(_unpack_int(x, A.cols))
+    if not in_image(A, b):
+        return None
+    _, pivots, combos = A._reduced_basis()
+    x = np.bitwise_xor.reduce(combos[b.bits[pivots] == 1], axis=0)
+    return BitVec._wrap(np.unpackbits(x.view(np.uint8), count=A.cols, bitorder="little"))
 
 
 def in_image(A: BitMatrix, b: BitVec) -> bool:
-    """True iff b lies in the column space of A."""
-    return solve_linear(A, b) is not None
+    """True iff b lies in the column space of A: no parity check is odd on b."""
+    if len(b) != A.rows:
+        raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} against len {len(b)}")
+    checks = A._reduced_basis()[0]
+    return not (np.bitwise_count(checks & _pack_words(b.bits)).sum(axis=1) & 1).any()
 
 
 def hamming_distance(a: BitVec, b: BitVec) -> int:

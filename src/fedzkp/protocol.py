@@ -50,10 +50,11 @@ on a failed check.  It is keyed on the watermark length and the digest
 the verifier computed itself from AGG_INPUT bytes it received; a
 prover's announced digest only selects an entry, it never becomes a key.
 A HELLO that names the cached digest skips the transfer, the decode and
-the hash and reuses the decoded slots, so each slot's column elimination
-runs once per process.  The distance against the session's own
-watermark, the client index and every round are still checked per
-session.
+the hash and reuses the decoded slots, so each slot's column basis (the
+echelon pass, then its reduced form with the parity checks that every
+round's membership test reads) is built once per process.  The distance
+against the session's own watermark, the client index and every round
+are still checked per session.
 
 A prover process keeps the encoding of the last aggregate it sent: one
 entry holding the digest and the hex, keyed on the aggregate object's

@@ -16,7 +16,9 @@ verifier's check both read it:
     c = 2  open C1, C2; accept iff weight(t1 xor t2) = w
 
 The weight w is the public input's own field, so the statement a round
-is checked against is the one its (A, y) came with.
+is checked against is the one its (A, y) came with.  "In the image of A"
+is gf2.in_image: a syndrome test against A's parity checks, which the
+first such round on a matrix object builds and later rounds reuse.
 
 Each check leaks nothing about (s, e) on its own, yet answering all three
 for one committed round pins the credential down: a prover without it can

@@ -1,4 +1,6 @@
 """GF(2) core: every fast path is checked against a slow independent oracle."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,43 @@ from fedzkp.gf2 import (
     sample_fixed_weight,
     solve_linear,
 )
+from fedzkp.lpn import XlpnParams, gen_instance
 
 
 def naive_mat_vec(rows, x):
     # oracle: plain Python dot product mod 2
     return [sum(r[j] * x[j] for j in range(len(x))) % 2 for r in rows]
+
+
+def oracle_rank(rows):
+    """Rank over GF(2) by row reduction on a uint8 copy; shares no gf2 code."""
+    a = np.array(rows, dtype=np.uint8).reshape(len(rows), -1)
+    rank = 0
+    for j in range(a.shape[1]):
+        below = np.nonzero(a[rank:, j])[0]
+        if below.size == 0:
+            continue
+        a[[rank, rank + below[0]]] = a[[rank + below[0], rank]]
+        hit = np.nonzero(a[:, j])[0]
+        a[hit[hit != rank]] ^= a[rank]
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+def oracle_member(rows, b):
+    # b is in the column space iff appending it as a column keeps the rank
+    return oracle_rank(np.column_stack([rows, b])) == oracle_rank(rows)
+
+
+def greedy_columns(rows):
+    # the first-come independent columns, the support solve_linear promises
+    picked = []
+    for j in range(rows.shape[1]):
+        if oracle_rank(rows[:, picked + [j]]) == len(picked) + 1:
+            picked.append(j)
+    return picked
 
 
 def image_set(rows, l):
@@ -147,6 +181,121 @@ def test_solve_deterministic_free_vars_zero():
     A = BitMatrix([[1, 1], [1, 1], [0, 0]])
     x = solve_linear(A, BitVec([1, 1, 0]))
     assert x == BitVec([1, 0])
+
+
+# rank-deficient fixtures, each b with the one solution on the greedy columns
+GREEDY_FIXTURES = [
+    # columns (1,0,0), (1,1,0), (0,1,0) = c0 ^ c1, (1,1,0) = c1: greedy {0, 1}
+    ([[1, 1, 0, 1], [0, 1, 1, 1], [0, 0, 0, 0]],
+     {(0, 1, 0): [1, 1, 0, 0], (1, 1, 0): [0, 1, 0, 0], (1, 0, 0): [1, 0, 0, 0],
+      (0, 0, 0): [0, 0, 0, 0], (0, 0, 1): None}),
+    # a zero first column and a repeat: greedy {1, 3}
+    ([[0, 1, 1, 0], [0, 0, 0, 1], [0, 1, 1, 0]],
+     {(1, 1, 1): [0, 1, 0, 1], (0, 1, 0): [0, 0, 0, 1], (1, 0, 1): [0, 1, 0, 0],
+      (1, 0, 0): None}),
+    # rank 2 in a 4x5 matrix whose later columns are all sums: greedy {0, 2}
+    ([[1, 1, 0, 1, 0], [1, 1, 1, 0, 0], [0, 0, 1, 1, 0], [1, 1, 0, 1, 0]],
+     {(0, 1, 1, 0): [0, 0, 1, 0, 0], (1, 0, 1, 1): [1, 0, 1, 0, 0], (0, 1, 0, 0): None}),
+]
+
+
+@pytest.mark.parametrize("rows, cases", GREEDY_FIXTURES)
+def test_solve_pins_the_greedy_support_answer(rows, cases):
+    A = BitMatrix(rows)
+    for b, want in cases.items():
+        x = solve_linear(A, BitVec(b))
+        assert (x is None) is (want is None) and in_image(A, BitVec(b)) is (want is not None)
+        if want is not None:
+            assert x == BitVec(want)
+
+
+def member_and_non_member_vectors(a, rng, count=12):
+    m, l = a.shape
+    for i in range(count):
+        x = rng.integers(0, 2, size=l, dtype=np.uint8)
+        b = (a.astype(np.int64) @ x) % 2  # a member
+        if i % 3 == 1:
+            b = b ^ np.eye(m, dtype=np.int64)[int(rng.integers(m))]  # one bit off it
+        elif i % 3 == 2:
+            b = rng.integers(0, 2, size=m)
+        yield b.astype(np.uint8)
+
+
+def check_against_oracle(a, rng):
+    A = BitMatrix(a)
+    greedy = greedy_columns(a)
+    seen = set()
+    for b in member_and_non_member_vectors(a, rng):
+        member = oracle_member(a, b)
+        seen.add(member)
+        assert in_image(A, BitVec(b)) is member
+        x = solve_linear(A, BitVec(b))
+        assert (x is not None) is member
+        if member:
+            assert np.array_equal((a.astype(np.int64) @ x.bits) % 2, b)
+            assert not np.delete(x.bits, greedy).any()  # unique on the greedy columns
+    return seen
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
+def test_membership_and_solve_across_word_boundaries(m):
+    rng = np.random.default_rng(300 + m)
+    seen = set()
+    for l in (m // 2, m - 1, m + 1):
+        seen |= check_against_oracle(rng.integers(0, 2, size=(m, l), dtype=np.uint8), rng)
+    # rank deficient: every column a sum of the first m // 3
+    base = rng.integers(0, 2, size=(m, m // 3), dtype=np.uint8)
+    mix = rng.integers(0, 2, size=(m // 3, m // 2), dtype=np.uint8)
+    low_rank = np.hstack([base, (base.astype(np.int64) @ mix % 2).astype(np.uint8)])
+    assert BitMatrix(low_rank).rank() == oracle_rank(low_rank) < low_rank.shape[1]
+    seen |= check_against_oracle(low_rank, rng)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
+def test_an_all_zero_matrix_holds_only_zero(m):
+    A = BitMatrix(np.zeros((m, 3), dtype=np.uint8))
+    assert in_image(A, BitVec.zeros(m)) and solve_linear(A, BitVec.zeros(m)) == BitVec.zeros(3)
+    for k in (0, m - 1):
+        b = BitVec(np.eye(m, dtype=np.uint8)[k])
+        assert not in_image(A, b) and solve_linear(A, b) is None
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
+def test_a_square_full_rank_matrix_has_no_parity_checks(m):
+    rng = np.random.default_rng(400 + m)
+    while True:
+        a = rng.integers(0, 2, size=(m, m), dtype=np.uint8)
+        if oracle_rank(a) == m:
+            break
+    A = BitMatrix(a)
+    assert A._reduced_basis()[0].shape[0] == 0  # H is empty: everything is a member
+    for _ in range(5):
+        b = rng.integers(0, 2, size=m, dtype=np.uint8)
+        x = solve_linear(A, BitVec(b))
+        assert in_image(A, BitVec(b)) and np.array_equal((a.astype(np.int64) @ x.bits) % 2, b)
+
+
+@pytest.mark.parametrize("m, n", [(64, 63), (64, 65), (65, 64), (129, 128), (8, 0)])
+def test_membership_rejects_a_vector_of_the_wrong_length(m, n):
+    A = BitMatrix(np.eye(m, 3, dtype=np.uint8))
+    for query in (in_image, solve_linear):
+        with pytest.raises(ValueError):
+            query(A, BitVec.zeros(n))
+
+
+def test_rank_and_keygen_never_build_stage_two(monkeypatch):
+    built = []
+    stage_two = BitMatrix._reduced_basis
+    monkeypatch.setattr(BitMatrix, "_reduced_basis",
+                        lambda self: built.append(self) or stage_two(self))
+    rng = np.random.default_rng(41)
+    A = BitMatrix.random(80, 60, rng)
+    assert A.rank() == oracle_rank(A.array)
+    pub, _ = gen_instance(XlpnParams(m=80, l=60, tau=Fraction(1, 4)), rng)
+    assert built == [] and A._reduced is None and pub.A._reduced is None
+    assert in_image(pub.A, pub.y ^ pub.y) and built == [pub.A]
+    assert pub.A._reduced is not None
 
 
 def test_solve_zero_vector():

@@ -872,9 +872,10 @@ class TestAggregateMemo:
     @pytest.fixture(autouse=True)
     def spies(self, monkeypatch):
         # built before the spies: key generation eliminates each A for its rank
+        # (stage 1 only); the verifier's slots are fresh objects and build both
         self.rng, self.pairs, self.agg, self.wm = make_world(seed=23)
         monkeypatch.setattr(protocol, "_last_valid", None)
-        self.calls = {"decode": 0, "hash": 0, "basis": 0}
+        self.calls = {"decode": 0, "hash": 0, "basis": 0, "reduced": 0}
 
         def counted(name, fn):
             def spy(*args, **kwargs):
@@ -887,12 +888,18 @@ class TestAggregateMemo:
                 self.calls["basis"] += 1
             return build(matrix)
 
-        build = BitMatrix._column_basis
+        def reduced(matrix):
+            if matrix._reduced is None:
+                self.calls["reduced"] += 1
+            return reduce(matrix)
+
+        build, reduce = BitMatrix._column_basis, BitMatrix._reduced_basis
         monkeypatch.setattr(protocol, "decode_aggregate",
                             counted("decode", protocol.decode_aggregate))
         monkeypatch.setattr(protocol, "hash_watermark",
                             counted("hash", protocol.hash_watermark))
         monkeypatch.setattr(BitMatrix, "_column_basis", basis)
+        monkeypatch.setattr(BitMatrix, "_reduced_basis", reduced)
 
     def session(self, client=1, d=8, seed=24):
         prover = ProverSession(self.pairs[client][1], self.agg, PARAMS, client, d=d,
@@ -928,7 +935,7 @@ class TestAggregateMemo:
 
     def test_two_sessions_decode_hash_and_eliminate_once(self):
         assert self.session().accepted and self.session(seed=34).accepted
-        assert self.calls == {"decode": 1, "hash": 1, "basis": 1}
+        assert self.calls == {"decode": 1, "hash": 1, "basis": 1, "reduced": 1}
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_a_malformed_aggregate_draws_an_error(self, case, tmp_path):
@@ -962,7 +969,8 @@ class TestAggregateMemo:
     def test_cold_and_warm_runs_agree(self):
         cold = [self.session(client=c, seed=50 + c) for c in range(3)]
         warm = [self.session(client=c, seed=50 + c) for c in range(3)]
-        assert self.calls["decode"] == 1
+        # one elimination per slot and process, both stages
+        assert self.calls == {"decode": 1, "hash": 1, "basis": 3, "reduced": 3}
         transfers = [types(v.transcript).count(t) for v in cold + warm
                      for t in ("AGG_REQUEST", "AGG_INPUT")]
         assert transfers == [1, 1] + [0, 0] * 5
@@ -987,7 +995,7 @@ class TestAggregateMemo:
         assert verifier.accepted and prover.accepted
         assert types(prover.transcript)[:3] == ["HELLO", "VALIDITY_RESULT", "COMMIT"]
         assert not {"AGG_REQUEST", "AGG_INPUT"} & set(types(prover.transcript))
-        assert self.calls == {"decode": 1, "hash": 1, "basis": 1}
+        assert self.calls == {"decode": 1, "hash": 1, "basis": 1, "reduced": 1}
 
     def test_a_verifier_with_another_mark_length_fetches_the_aggregate(self):
         assert self.session().accepted

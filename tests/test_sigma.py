@@ -8,6 +8,7 @@ from scipy.stats import chi2_contingency
 from fedzkp.bounds import advantage_bound
 from fedzkp.commitments import commit_batch
 from fedzkp.gf2 import BitVec, Permutation, mat_vec_mul, in_image, sample_fixed_weight
+from fedzkp import sigma
 from fedzkp.lpn import XlpnParams, gen_instance
 from fedzkp.sigma import (
     Challenge,
@@ -168,6 +169,16 @@ def test_malformed_response_rejects_without_raising(round_per_challenge):
             bad = replace(resp, c=out_of_range)
             assert verifier_check_round(pub, msg1, out_of_range, bad) is False
         assert verifier_check_round(pub, msg1, Challenge(c), None) is False
+
+
+def test_a_membership_test_that_raises_rejects(round_per_challenge, monkeypatch):
+    # in_image raises ValueError on a vector of the wrong length; a round that
+    # hands it one must reject, not raise out of the verifier
+    pub, rounds = round_per_challenge
+    monkeypatch.setattr(sigma, "in_image", lambda A, b: in_image(A, BitVec(b.bits[:-1])))
+    for c in (0, 1):
+        msg1, resp = rounds[c]
+        assert verifier_check_round(pub, msg1, Challenge(c), resp) is False
 
 
 @pytest.mark.parametrize("length, weight", [(8, SMALL.w), (16, SMALL.w), (SMALL.m, SMALL.w - 1),
