@@ -49,6 +49,12 @@ def _as_bit_array(bits, ndim: int) -> np.ndarray:
     return arr
 
 
+# _BYTE_PARITY[x] is True iff the byte x has an odd number of set bits
+_BYTE_PARITY = (
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1) & 1
+).astype(bool)
+
+
 def _pack_words(bits: np.ndarray) -> np.ndarray:
     """Pack the last axis of a 0/1 array into little-endian uint64 words.
 
@@ -419,7 +425,9 @@ def in_image(A: BitMatrix, b: BitVec) -> bool:
     if len(b) != A.rows:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} against len {len(b)}")
     checks = A._reduced_basis()[0]
-    return not (np.bitwise_count(checks & _pack_words(b.bits)).sum(axis=1) & 1).any()
+    # a row's parity is the parity of the XOR of its bytes
+    folded = np.bitwise_xor.reduce((checks & _pack_words(b.bits)).view(np.uint8), axis=1)
+    return not _BYTE_PARITY[folded].any()
 
 
 def hamming_distance(a: BitVec, b: BitVec) -> int:

@@ -252,6 +252,13 @@ def test_membership_and_solve_across_word_boundaries(m):
     assert seen == {True, False}
 
 
+def test_membership_runs_without_numpy_2_bit_counting(monkeypatch):
+    # pyproject allows numpy 1.x, which has no np.bitwise_count
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    rng = np.random.default_rng(365)
+    assert check_against_oracle(rng.integers(0, 2, size=(130, 70), dtype=np.uint8), rng) == {True, False}
+
+
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
 def test_an_all_zero_matrix_holds_only_zero(m):
     A = BitMatrix(np.zeros((m, 3), dtype=np.uint8))
