@@ -66,8 +66,8 @@ def _seed_from(args) -> int:
     env = os.environ.get("FEDZKP_SEED")
     if env is not None:
         return int(env)
-    # concrete so it can be written down and replayed
-    return int.from_bytes(os.urandom(8), "little")
+    # concrete so it can be replayed; 256 bits, past the 128 that p_r targets
+    return int.from_bytes(os.urandom(32), "little")
 
 
 def _workspace(args) -> Path:
@@ -145,7 +145,7 @@ def cmd_aggregate(args) -> int:
     parts = []
     for j in range(params["K"]):
         pub, stored = load_public_input(ws / f"public_{j}.bin")
-        if stored != xlpn:
+        if stored != (xlpn.m, xlpn.l, xlpn.w):
             raise ValueError(f"public_{j}.bin was generated under different parameters")
         parts.append(pub)
     agg = aggregate(parts)
@@ -241,12 +241,12 @@ def cmd_verify_verifier(args) -> int:
 def cmd_verify_prover(args) -> int:
     ws = _workspace(args)
     params = _read_params(ws)
-    cred, xlpn = load_credential(ws / f"credential_{args.client}.bin")
+    cred, _ = load_credential(ws / f"credential_{args.client}.bin")
     agg, _ = load_aggregate(ws / "aggregate.bin")
     host, port = _split_endpoint(args.connect)
     rng = np.random.default_rng(_seed_from(args))
     accepted = run_prover_endpoint(
-        host, port, cred, agg, xlpn, args.client, params["d"], rng,
+        host, port, cred, agg, args.client, params["d"], rng,
         l_com=params["l_com"], transcript_path=args.transcript, timeout=args.timeout,
     )
     print("accepted" if accepted else "rejected")

@@ -3,10 +3,11 @@
 One JSON object per line over a byte stream, binary payloads hex-encoded,
 a permutation on m points as its gf2 encoding, each index in
 ceil(log2 m) bits (1,000 bytes at m=800), read back with the verifier's
-own m.  HELLO's "digest" is 32 bytes of SHAKE-256 over the bytes of
-storage's aggregate.bin, tau in its header included; AGG_INPUT's one
-field "aggregate" holds those bytes.  COMMIT digests are as long as the
-verifier's own l_com.  The prover speaks first:
+own m.  AGG_INPUT's one field "aggregate" holds storage's aggregate.bin
+bytes: the magic, the kind byte and the statement's canonical bytes, the
+ones the watermark hash reads.  HELLO's "digest" is 32 bytes of SHAKE-256
+over them, so one statement has one digest.  COMMIT digests are as long
+as the verifier's own l_com.  The prover speaks first:
 
     HELLO -> [ (AGG_REQUEST) -> AGG_INPUT ] -> (VALIDITY_RESULT) ->
         [ COMMIT -> (CHALLENGE) -> RESPONSE -> (ROUND_RESULT) ] x d
@@ -40,9 +41,8 @@ through one loop, _run.
 
 The verifier reads nothing of the statement off the wire.  The weight w
 that challenge 2 checks is the claimed slot's own, from an aggregate
-that passed validity; the hash binds w with every A_j and y_j, so the
-tau in aggregate.bin's header cannot relabel the statement, and a
-header tau that rounds to the same w is the same statement.
+that passed validity; the hash binds w with every A_j and y_j, so no
+header field can relabel the statement.
 
 A verifier process keeps the last aggregate that passed validity: one
 entry of K*m*l bytes, with its decoded slots and its hash, never admitted
@@ -58,10 +58,9 @@ are still checked per session.
 
 A prover process keeps the encoding of the last aggregate it sent: one
 entry holding the digest and the hex, keyed on the aggregate object's
-identity and equal params (tau is in the aggregate's header, so another
-tau misses).  A repeat claim over the same object skips
-aggregate_to_bytes, the hash and the hex encoding, and the entry keeps
-that object alive; aggregates are immutable.
+identity.  A repeat claim over the same object skips aggregate_to_bytes,
+the hash and the hex encoding, and the entry keeps that object alive;
+aggregates are immutable.
 """
 from __future__ import annotations
 
@@ -75,7 +74,7 @@ import numpy as np
 
 from .commitments import DEFAULT_COMMIT_BITS, Commitment
 from .gf2 import BitVec, Permutation
-from .lpn import Credential, PublicInput, XlpnParams
+from .lpn import Credential, PublicInput
 from .sigma import (
     Challenge,
     RoundMessage1,
@@ -102,9 +101,8 @@ ECHO_CHARS = 64
 # the verifier threads never see half an entry.
 _last_valid: Optional[tuple] = None
 
-# (AggregatedInput, XlpnParams, encode_aggregate's dict) of the last
-# aggregate a prover in this process sent, or None.  Swapped as one
-# tuple, like _last_valid.
+# (AggregatedInput, encode_aggregate's dict) of the last aggregate a
+# prover in this process sent, or None.  Swapped as one tuple, like _last_valid.
 _last_sent: Optional[tuple] = None
 
 
@@ -228,27 +226,27 @@ def aggregate_digest(blob: bytes) -> bytes:
     return hashlib.shake_256(blob).digest(DIGEST_BYTES)
 
 
-def encode_aggregate(agg: AggregatedInput, params: XlpnParams) -> dict:
+def encode_aggregate(agg: AggregatedInput) -> dict:
     """HELLO's "digest" and AGG_INPUT's "aggregate", both hex."""
-    blob = aggregate_to_bytes(agg, params)
+    blob = aggregate_to_bytes(agg)
     return {"digest": aggregate_digest(blob).hex(), "aggregate": blob.hex()}
 
 
-def _encoded_aggregate(agg: AggregatedInput, params: XlpnParams) -> dict:
+def _encoded_aggregate(agg: AggregatedInput) -> dict:
     """encode_aggregate's dict, reused while the same object is sent again."""
     global _last_sent
     entry = _last_sent
-    if entry is None or entry[0] is not agg or entry[1] != params:
-        entry = (agg, params, encode_aggregate(agg, params))
+    if entry is None or entry[0] is not agg:
+        entry = (agg, encode_aggregate(agg))
         _last_sent = entry
-    return entry[2]
+    return entry[1]
 
 
 def decode_aggregate(body: dict) -> tuple:
     """(digest, aggregate) of an AGG_INPUT body, hashing the bytes received."""
     blob = _hex_field(body, "aggregate")
     try:
-        return aggregate_digest(blob), aggregate_from_bytes(blob, "aggregate")[0]
+        return aggregate_digest(blob), aggregate_from_bytes(blob, "aggregate")
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -443,12 +441,13 @@ class ProverSession(_Session):
     The constructor does not check that the credential opens the claimed
     slot.  Each COMMIT does (sigma.prover_commit), so a credential that
     does not open it raises ValueError out of feed() at the first COMMIT,
-    right after an accepting VALIDITY_RESULT.
+    right after an accepting VALIDITY_RESULT.  `params` is kept as
+    self.params for subclasses that read it; the session itself does not.
     """
 
     peer = "verifier"
 
-    def __init__(self, cred: Credential, agg: AggregatedInput, params: XlpnParams,
+    def __init__(self, cred: Credential, agg: AggregatedInput, params,
                  client: int, d: int, rng: np.random.Generator,
                  l_com: int = DEFAULT_COMMIT_BITS):
         if not 0 <= client < agg.K:
@@ -469,7 +468,7 @@ class ProverSession(_Session):
     def start(self) -> list:
         if self.state != "START":
             raise ProtocolError("session already started")
-        self._encoded = _encoded_aggregate(self.agg, self.params)
+        self._encoded = _encoded_aggregate(self.agg)
         self.state = "AGG_REQUEST|VALIDITY_RESULT"
         return [self._send("HELLO", {"client": self.client, "rounds": self.d,
                                      "digest": self._encoded["digest"]})]
@@ -591,8 +590,8 @@ def run_verifier_endpoint(host: str, port: int, h_extracted: BitVec, err_n: int,
 
 
 def run_prover_endpoint(host: str, port: int, cred: Credential,
-                        agg: AggregatedInput, params: XlpnParams, client: int,
-                        d: int, rng: np.random.Generator,
+                        agg: AggregatedInput, client: int, d: int,
+                        rng: np.random.Generator,
                         l_com: int = DEFAULT_COMMIT_BITS,
                         transcript_path=None, timeout: float = 120.0) -> bool:
     """Connect, prove, return the verifier's verdict.
@@ -602,7 +601,7 @@ def run_prover_endpoint(host: str, port: int, cred: Credential,
     COMMIT when the credential does not open the claimed slot; the
     verifier then sees the connection close, an abort.
     """
-    session = ProverSession(cred, agg, params, client, d, rng, l_com)
+    session = ProverSession(cred, agg, None, client, d, rng, l_com)
     try:
         conn = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:

@@ -154,8 +154,8 @@ def verifier_challenge(rng: np.random.Generator) -> Challenge:
 
 def prover_respond(state: ProverRoundState, challenge: Challenge) -> RoundResponse:
     """Open exactly the two commitments the challenge prescribes."""
-    c = challenge.c if isinstance(challenge, Challenge) else int(challenge)
-    if c not in (0, 1, 2):
+    c = challenge.c
+    if c not in (0, 1, 2):  # OPENS[-1] would open (1, 2)
         raise ValueError(f"challenge must be 0, 1 or 2, got {c}")
     opened = OPENS[c]
     o0, o1, o2 = 0 in opened, 1 in opened, 2 in opened
@@ -173,7 +173,7 @@ def verifier_check_round(
 ) -> bool:
     """Accept or reject one round; malformed input rejects rather than raises."""
     try:
-        c = challenge.c if isinstance(challenge, Challenge) else int(challenge)
+        c = challenge.c
         if resp.c != c or c not in (0, 1, 2):
             return False
         m = pub.A.rows

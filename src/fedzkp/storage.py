@@ -2,17 +2,20 @@
 model checkpoints and training history.
 
 Binary files share a layout: the 7-byte magic ``FEDZKP1``, a kind byte,
-a fixed little-endian header, then raw payload bytes.  Bit payloads use
-the gf2 packing (8 bits per byte, matrices row-major).  Float payloads
-are flat little-endian float32, the model's own width, so a verifier
+then the body.  A public input's or an aggregate's body is the
+statement's canonical bytes, a K=1 statement for a public input: the
+bytes the watermark hash reads, laid out and parsed by watermark alone.
+The aggregate file is also the protocol's AGG_INPUT payload.  A
+credential is a little-endian (m, l, w) header and the packed s and e.
+No file carries tau, which is only keygen's recipe for w; files whose
+header did (kinds 1 to 3) are refused by kind.  Bit payloads use the
+gf2 packing (8 bits per byte, matrices row-major).  Float payloads are
+flat little-endian float32, the model's own width, so a verifier
 extracts the mark from the values training left; a checkpoint's header
 records that width, and a float64 checkpoint from before it is refused.
-Every malformed input raises ValueError.  The aggregate bytes are also
-the protocol's AGG_INPUT payload, so aggregate_to_bytes and
-aggregate_from_bytes hold its layout for both.  A loaded public input
-takes its weight w from the header, which must agree with the stored
-tau; a writer refuses parameters that disagree with the instance's m, l
-or w, and a loaded aggregate passes watermark.aggregate's checks.
+Every malformed input raises ValueError.  A writer refuses parameters
+that disagree with the object's m, l or w, and a loader returns the
+object with its (m, l, w).
 
 Credentials are secrets; they get their own file kind and never appear
 inside public-input, aggregate or watermark files.  The embedding
@@ -30,38 +33,30 @@ from __future__ import annotations
 import json
 import os
 import struct
-from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitVec
 from .lpn import Credential, PublicInput, XlpnParams
 from .model import DTYPE, EmbeddingConfig, ModelState, _theta_layout, make_embedding
-from .watermark import AggregatedInput, HashWatermark, aggregate
+from .watermark import (AggregatedInput, HashWatermark, aggregate, canonical_bytes,
+                        from_canonical_bytes)
 
 MAGIC = b"FEDZKP1"
 
-KIND_CREDENTIAL = 1
-KIND_PUBLIC_INPUT = 2
-KIND_AGGREGATE = 3
 KIND_CHECKPOINT = 4
+KIND_CREDENTIAL = 5
+KIND_PUBLIC_INPUT = 6
+KIND_AGGREGATE = 7
 
-_PARAMS = struct.Struct("<IIQQI")  # m, l, tau numerator/denominator, w
+_CREDENTIAL = struct.Struct("<III")  # m, l, w
 # d_in, omega, classes, theta and W_gamma lengths; then one byte, the float width
 _CHECKPOINT = struct.Struct("<IIIQQ")
 _FLOAT = np.dtype(DTYPE).newbyteorder("<")
 
 PathLike = Union[str, Path]
-
-
-def _vec_bytes(n: int) -> int:
-    return (n + 7) // 8
-
-
-def _mat_bytes(m: int, l: int) -> int:
-    return (m * l + 7) // 8
 
 
 def _write(path: PathLike, payload: bytes):
@@ -89,40 +84,12 @@ def _view(data: bytes, kind: int, name) -> memoryview:
     return memoryview(data)[len(MAGIC) + 1:]
 
 
-def _pack_params(params: XlpnParams) -> bytes:
-    return _PARAMS.pack(params.m, params.l, params.tau.numerator,
-                        params.tau.denominator, params.w)
-
-
-def _unpack_params(view: memoryview) -> tuple:
-    raw, view = _expect(view, _PARAMS.size, "parameter header")
-    m, l, num, den, w = _PARAMS.unpack(raw)
-    if den == 0:
-        raise ValueError("stored noise rate has denominator 0")
-    params = XlpnParams(m, l, Fraction(num, den))
-    if params.w != w:
-        raise ValueError("stored weight disagrees with stored noise rate")
-    return params, view
-
-
 def _check_fits(m: int, l: int, w: int, params: XlpnParams, what: str):
     # a header that disagrees with its payload would relabel the statement
     if (m, l) != (params.m, params.l):
         raise ValueError(f"{what} dimensions disagree with the parameters")
     if w != params.w:
         raise ValueError(f"{what} weight disagrees with the parameters")
-
-
-def _part_bytes(pub: PublicInput) -> bytes:
-    return pub.A.to_bytes() + pub.y.to_bytes()
-
-
-def _read_part(view: memoryview, params: XlpnParams) -> tuple:
-    a_raw, view = _expect(view, _mat_bytes(params.m, params.l), "matrix")
-    y_raw, view = _expect(view, _vec_bytes(params.m), "image vector")
-    pub = PublicInput(BitMatrix.from_bytes(a_raw, params.m, params.l),
-                      BitVec.from_bytes(y_raw, params.m), params.w)
-    return pub, view
 
 
 def _expect(view: memoryview, size: int, what: str) -> tuple:
@@ -137,61 +104,53 @@ def _done(view: memoryview, path: PathLike):
 
 
 def save_credential(path: PathLike, cred: Credential, params: XlpnParams):
-    body = cred.s.to_bytes() + cred.e.to_bytes()
-    _write(path, MAGIC + bytes([KIND_CREDENTIAL]) + _pack_params(params) + body)
+    m, l, w = len(cred.e), len(cred.s), cred.e.weight()
+    _check_fits(m, l, w, params, "credential")
+    _write(path, MAGIC + bytes([KIND_CREDENTIAL]) + _CREDENTIAL.pack(m, l, w)
+           + cred.s.to_bytes() + cred.e.to_bytes())
 
 
 def load_credential(path: PathLike) -> tuple:
     view = _view(Path(path).read_bytes(), KIND_CREDENTIAL, path)
-    params, view = _unpack_params(view)
-    s_raw, view = _expect(view, _vec_bytes(params.l), "secret")
-    e_raw, view = _expect(view, _vec_bytes(params.m), "noise")
+    raw, view = _expect(view, _CREDENTIAL.size, "credential header")
+    m, l, w = _CREDENTIAL.unpack(raw)
+    s_raw, view = _expect(view, (l + 7) // 8, "secret")
+    e_raw, view = _expect(view, (m + 7) // 8, "noise")
     _done(view, path)
-    cred = Credential(s=BitVec.from_bytes(s_raw, params.l),
-                      e=BitVec.from_bytes(e_raw, params.m))
-    if cred.e.weight() != params.w:
+    cred = Credential(s=BitVec.from_bytes(s_raw, l), e=BitVec.from_bytes(e_raw, m))
+    if cred.e.weight() != w:
         raise ValueError("stored noise vector has the wrong weight")
-    return cred, params
+    return cred, (m, l, w)
 
 
 def save_public_input(path: PathLike, pub: PublicInput, params: XlpnParams):
     _check_fits(pub.A.rows, pub.A.cols, pub.w, params, "public input")
-    _write(path, MAGIC + bytes([KIND_PUBLIC_INPUT]) + _pack_params(params) + _part_bytes(pub))
+    _write(path, MAGIC + bytes([KIND_PUBLIC_INPUT]) + canonical_bytes(aggregate([pub])))
 
 
 def load_public_input(path: PathLike) -> tuple:
-    view = _view(Path(path).read_bytes(), KIND_PUBLIC_INPUT, path)
-    params, view = _unpack_params(view)
-    pub, view = _read_part(view, params)
-    _done(view, path)
-    return pub, params
+    agg = from_canonical_bytes(_view(Path(path).read_bytes(), KIND_PUBLIC_INPUT, path))
+    if agg.K != 1:
+        raise ValueError(f"{path}: holds {agg.K} client inputs, not one")
+    return agg.parts[0], (agg.m, agg.l, agg.w)
 
 
-def aggregate_to_bytes(agg: AggregatedInput, params: XlpnParams) -> bytes:
-    _check_fits(agg.m, agg.l, agg.w, params, "aggregate")
-    return b"".join([MAGIC, bytes([KIND_AGGREGATE]), _pack_params(params),
-                     struct.pack("<I", len(agg.parts)), *map(_part_bytes, agg.parts)])
+def aggregate_to_bytes(agg: AggregatedInput) -> bytes:
+    return MAGIC + bytes([KIND_AGGREGATE]) + canonical_bytes(agg)
 
 
-def aggregate_from_bytes(data: bytes, name) -> tuple:
-    view = _view(data, KIND_AGGREGATE, name)
-    params, view = _unpack_params(view)
-    raw, view = _expect(view, 4, "client count")
-    (count,) = struct.unpack("<I", raw)
-    parts = []
-    for _ in range(count):
-        pub, view = _read_part(view, params)
-        parts.append(pub)
-    _done(view, name)
-    return aggregate(parts), params
+def aggregate_from_bytes(data: bytes, name) -> AggregatedInput:
+    return from_canonical_bytes(_view(data, KIND_AGGREGATE, name))
 
 
 def save_aggregate(path: PathLike, agg: AggregatedInput, params: XlpnParams):
-    _write(path, aggregate_to_bytes(agg, params))
+    _check_fits(agg.m, agg.l, agg.w, params, "aggregate")
+    _write(path, aggregate_to_bytes(agg))
 
 
 def load_aggregate(path: PathLike) -> tuple:
-    return aggregate_from_bytes(Path(path).read_bytes(), path)
+    agg = aggregate_from_bytes(Path(path).read_bytes(), path)
+    return agg, (agg.m, agg.l, agg.w)
 
 
 def save_watermark(path: PathLike, wm: HashWatermark):

@@ -1,4 +1,4 @@
-"""Watermark construction and checking.
+"""Watermark construction and checking, and the one byte form of a statement.
 
 The server stacks every client's public input into one aggregate, hashes
 its canonical byte form with SHAKE-256 into an n-bit watermark h, and h is
@@ -7,7 +7,7 @@ to confirm the server included exactly the K client inputs and nothing
 else.  At verification time the extracted (possibly damaged) watermark is
 compared to the recomputed hash under a strict near-collision threshold.
 
-Canonical hash input layout:
+Canonical layout of a statement (K, m, l, w, every A_j, every y_j):
 
     "FEDZKP-H2" || u32le(K) || u32le(m) || u32le(l) || u32le(w)
                 || bits of A_1 .. A_K (row-major, concatenated, packed)
@@ -17,20 +17,24 @@ Both bit blocks are packed MSB-first and zero-padded to a byte boundary
 only at the end of the block, so the A block is exactly ceil(K*m*l/8)
 bytes regardless of per-part alignment.  The hash covers the whole
 statement, the weight w that challenge 2 checks included, so an
-aggregate that passes validity fixes every part of it.
+aggregate that passes validity fixes every part of it.  Storage's files
+and the protocol's AGG_INPUT carry these same bytes; from_canonical_bytes
+refuses any other string, so each statement has exactly one encoding.
 """
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .gf2 import BitVec, hamming_distance
+from .gf2 import BitMatrix, BitVec, hamming_distance
 from .lpn import PublicInput
 
 DOMAIN_TAG = b"FEDZKP-H2"
+_HEAD = struct.Struct("<IIII")  # K, m, l, w
 DEFAULT_WATERMARK_BITS = 1024
 
 
@@ -91,10 +95,41 @@ def select_component(agg: AggregatedInput, j: int) -> PublicInput:
 
 
 def canonical_bytes(agg: AggregatedInput) -> bytes:
-    header = DOMAIN_TAG + b"".join(x.to_bytes(4, "little") for x in (agg.K, agg.m, agg.l, agg.w))
+    header = DOMAIN_TAG + _HEAD.pack(agg.K, agg.m, agg.l, agg.w)
     a_bits = np.concatenate([p.A.array.ravel() for p in agg.parts])
     y_bits = np.concatenate([p.y.bits for p in agg.parts])
     return header + np.packbits(a_bits).tobytes() + np.packbits(y_bits).tobytes()
+
+
+def _unpack_block(raw: memoryview, n: int, what: str) -> np.ndarray:
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    if bits[n:].any():
+        raise ValueError(f"nonzero padding bits after the {what} block")
+    return bits[:n]
+
+
+def from_canonical_bytes(data) -> AggregatedInput:
+    """Inverse of canonical_bytes: ValueError on a wrong tag or length, K = 0
+    (through aggregate), m <= l, l = 0, w > m // 2 (the most any tau < 1/2
+    rounds to) or a set padding bit.  Slots are views into one unpacked block."""
+    view = memoryview(data)
+    start = len(DOMAIN_TAG) + _HEAD.size
+    if len(view) < start:
+        raise ValueError("truncated statement header")
+    if view[:len(DOMAIN_TAG)] != DOMAIN_TAG:
+        raise ValueError("not a FEDZKP-H2 statement")
+    K, m, l, w = _HEAD.unpack(view[len(DOMAIN_TAG):start])
+    if not 0 < l < m:
+        raise ValueError(f"need m > l > 0, got m={m}, l={l}")
+    if w > m // 2:
+        raise ValueError(f"weight {w} exceeds m // 2 = {m // 2}")
+    a_end = start + (K * m * l + 7) // 8
+    size = a_end + (K * m + 7) // 8
+    if len(view) != size:
+        raise ValueError(f"statement of K={K}, m={m}, l={l} takes {size} bytes, got {len(view)}")
+    A = _unpack_block(view[start:a_end], K * m * l, "A").reshape(K, m, l)
+    y = _unpack_block(view[a_end:], K * m, "y").reshape(K, m)
+    return aggregate(PublicInput(BitMatrix._wrap(a), BitVec._wrap(v), w) for a, v in zip(A, y))
 
 
 def hash_watermark(agg: AggregatedInput, n: int = DEFAULT_WATERMARK_BITS) -> HashWatermark:

@@ -258,6 +258,29 @@ class TestDispatch:
         assert proc.returncode != 0
         assert "error:" in proc.stderr
 
+    def test_an_unseeded_run_draws_32_bytes_and_records_the_seed(self, tmp_path,
+                                                                  monkeypatch):
+        # 256 bits of seed, so a seed search costs more than p_r's 128 bits
+        monkeypatch.delenv("FEDZKP_SEED", raising=False)
+        drawn = []
+
+        def urandom(size):
+            drawn.append(size)
+            return bytes(range(1, size + 1))
+
+        monkeypatch.setattr(os, "urandom", urandom)
+        ws = tmp_path / "ws"
+        assert run("init", "--dir", str(ws), *SIZES) == 0
+        assert run("keygen", "--dir", str(ws)) == 0
+        assert run("aggregate", "--dir", str(ws)) == 0
+        assert run("train", "--dir", str(ws), "--rounds", "1", "--epochs", "1",
+                   "--samples-per-client", "20", "--test-samples", "20") == 0
+        assert drawn == [32, 32, 32]
+        seed = int.from_bytes(bytes(range(1, 33)), "little")
+        assert seed >= 2 ** 248
+        for name in ("embedding.json", "train.json"):
+            assert json.loads((ws / name).read_text())["seed"] == seed
+
     def test_env_seed_reproduces_keys(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDZKP_SEED", "31")
         dirs = []

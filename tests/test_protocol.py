@@ -27,7 +27,7 @@ from fedzkp.protocol import (
     run_verifier_endpoint,
 )
 from fedzkp.sigma import Challenge, RoundMessage1, simulate_round
-from fedzkp.storage import save_aggregate, save_public_input
+from fedzkp.storage import load_aggregate, save_aggregate, save_public_input
 from fedzkp.watermark import aggregate, hash_watermark, select_component
 
 PARAMS = XlpnParams(m=48, l=32, tau=Fraction(1, 4))
@@ -46,9 +46,9 @@ def make_world(seed=0, K=3, params=PARAMS):
     return rng, pairs, agg, wm
 
 
-def relabel(agg, params):
-    """agg's A and y under params's weight: the same bits, another statement."""
-    return aggregate([replace(p, w=params.w) for p in agg.parts])
+def relabel(agg, w):
+    """agg's A and y under the weight w: the same bits, another statement."""
+    return aggregate([replace(p, w=w) for p in agg.parts])
 
 
 # lines json.loads itself fails on outside JSONDecodeError
@@ -174,7 +174,7 @@ class TestLoopback:
 def test_agg_input_carries_the_aggregate_file_bytes(tmp_path):
     _, _, agg, wm = make_world(seed=2)
     save_aggregate(tmp_path / "aggregate.bin", agg, PARAMS)
-    doc = encode_aggregate(agg, PARAMS)
+    doc = encode_aggregate(agg)
     blob = (tmp_path / "aggregate.bin").read_bytes()
     assert bytes.fromhex(doc["aggregate"]) == blob and doc["digest"] == shake(blob)
     digest, back = decode_aggregate(doc)
@@ -537,7 +537,7 @@ class OneBitCommitForger:
                 return self._line("RESPONSE", round=self.round, **encode_response(tr.response))
 
     def start(self):
-        self.encoded = encode_aggregate(self.agg, PARAMS)
+        self.encoded = encode_aggregate(self.agg)
         return [self._line("HELLO", client=self.client, rounds=self.d,
                            digest=self.encoded["digest"])]
 
@@ -573,24 +573,29 @@ def lightest_opening(pub, rng, tries=20):
 class TestWireForgeries:
     def forged_tau(self):
         """The genuine aggregate, the lightest guessed opening of slot 1, and the
-        genuine parts relabelled to that opening's weight under a matching tau."""
+        genuine parts under a forged noise rate: the header's w relabelled to
+        that opening's weight."""
         rng, pairs, agg, wm = make_world(seed=0)
         cred = lightest_opening(agg.parts[1], rng)
         w = cred.e.weight()
-        params = XlpnParams(PARAMS.m, PARAMS.l, Fraction(w, PARAMS.m))
-        assert (w, params.w, PARAMS.w) == (19, 19, 12)
-        return pairs, agg, wm, cred, relabel(agg, params), params
+        assert (w, PARAMS.w) == (19, 12)
+        forged = relabel(agg, w)
+        genuine, sent = encode_aggregate(agg)["aggregate"], encode_aggregate(forged)["aggregate"]
+        at = 2 * (HEADER_BYTES - 4)  # the hex of the header's w field
+        assert sent[:at] + sent[at + 8:] == genuine[:at] + genuine[at + 8:]
+        assert sent[at:at + 8] == struct.pack("<I", w).hex()
+        return pairs, agg, wm, cred, forged
 
     def test_a_forged_tau_fails_validity(self, monkeypatch):
         monkeypatch.setattr(protocol, "_last_valid", None)
-        pairs, agg, wm, cred, forged, params = self.forged_tau()
+        pairs, agg, wm, cred, forged = self.forged_tau()
         genuine = drive(ProverSession(pairs[1][1], agg, PARAMS, 1, d=4,
                                       rng=np.random.default_rng(1), l_com=L_COM),
                         VerifierSession(wm.h, ERR_N, d=4, rng=np.random.default_rng(2),
                                         l_com=L_COM))[1]
         assert genuine.accepted
         entry = protocol._last_valid
-        prover = ProverSession(cred, forged, params, 1, d=40,
+        prover = ProverSession(cred, forged, PARAMS, 1, d=40,
                                rng=np.random.default_rng(3), l_com=L_COM)
         verifier = VerifierSession(wm.h, ERR_N, d=40, rng=np.random.default_rng(4),
                                    l_com=L_COM)
@@ -606,9 +611,9 @@ class TestWireForgeries:
         # control: the opening is a real credential for the relabelled
         # statement, so binding w into the mark is what stops the forgery
         monkeypatch.setattr(protocol, "_last_valid", None)
-        _, _, _, cred, forged, params = self.forged_tau()
+        _, _, _, cred, forged = self.forged_tau()
         own = hash_watermark(forged, N_BITS)
-        prover = ProverSession(cred, forged, params, 1, d=40,
+        prover = ProverSession(cred, forged, PARAMS, 1, d=40,
                                rng=np.random.default_rng(3), l_com=L_COM)
         verifier = VerifierSession(own.h, ERR_N, d=40, rng=np.random.default_rng(4),
                                    l_com=L_COM)
@@ -682,7 +687,7 @@ class TestTcpEndpoints:
         t.start()
         assert ready.wait(10.0)
         accepted = run_prover_endpoint(
-            "127.0.0.1", port_box[0], pairs[2][1], agg, PARAMS, 2, 6,
+            "127.0.0.1", port_box[0], pairs[2][1], agg, 2, 6,
             np.random.default_rng(13), l_com=L_COM,
             transcript_path=tmp_path / "prover.jsonl")
         t.join(30.0)
@@ -712,7 +717,7 @@ class TestTcpEndpoints:
         assert ready.wait(10.0)
         # slot 0's credential argued for slot 1
         with pytest.raises(ValueError, match="credential does not open"):
-            run_prover_endpoint("127.0.0.1", port_box[0], pairs[0][1], agg, PARAMS, 1, 6,
+            run_prover_endpoint("127.0.0.1", port_box[0], pairs[0][1], agg, 1, 6,
                                 np.random.default_rng(18), l_com=L_COM)
         t.join(30.0)
         assert not t.is_alive()
@@ -787,7 +792,7 @@ class TestTcpEndpoints:
             conn.sendall(DEEP_NESTING.encode() + b"\n")
             assert json.loads(rd.readline())["type"] == "ERROR"
         accepted = run_prover_endpoint("127.0.0.1", port_box[0], pairs[1][1], agg,
-                                       PARAMS, 1, 6, np.random.default_rng(29),
+                                       1, 6, np.random.default_rng(29),
                                        l_com=L_COM)
         t.join(30.0)
         assert accepted and not t.is_alive()
@@ -837,32 +842,51 @@ class TestBoundedReads:
             t = threading.Thread(target=fake_verifier, daemon=True)
             t.start()
             accepted = run_prover_endpoint(
-                "127.0.0.1", srv.getsockname()[1], pairs[0][1], agg, PARAMS, 0, 4,
+                "127.0.0.1", srv.getsockname()[1], pairs[0][1], agg, 0, 4,
                 rng, l_com=L_COM, timeout=10.0)
             t.join(10.0)
         assert accepted is False and not t.is_alive()
         assert json.loads(replies[0])["message"] == "line too long"
 
 
-HEADER_BYTES = 40  # magic, kind, (m, l, tau, w), client count
+HEADER_BYTES = 8 + 9 + 16  # magic and kind, the FEDZKP-H2 tag, (K, m, l, w)
+ODD = XlpnParams(m=50, l=33, tau=Fraction(1, 4))  # both bit blocks end in padding
 
 
 def _patch(blob, at, raw):
     return blob[:at] + raw + blob[at + len(raw):]
 
 
-# AGG_INPUT payloads built from the genuine aggregate's bytes and a
-# public_0.bin file's bytes
+def _field(blob, k, value):
+    """`blob` with header field k (0 K, 1 m, 2 l, 3 w) set to `value`."""
+    return _patch(blob, HEADER_BYTES - 16 + 4 * k, struct.pack("<I", value))
+
+
+def _padding_bit(blob, block):
+    """`blob`, an ODD aggregate of 3 clients, with the last padding bit of
+    the A or the y block set."""
+    a_end = HEADER_BYTES + (3 * ODD.m * ODD.l + 7) // 8
+    at = a_end - 1 if block == "A" else len(blob) - 1
+    return _patch(blob, at, bytes([blob[at] | 1]))
+
+
+# AGG_INPUT payloads built from the genuine aggregate's bytes, a
+# public_0.bin file's bytes and an ODD-sized aggregate's bytes
 MALFORMED = {
-    "truncated_header": lambda blob, public: blob[:20].hex(),
-    "short_part": lambda blob, public: blob[:-1].hex(),
-    "trailing_byte": lambda blob, public: (blob + b"\x00").hex(),
-    "tau_den_zero": lambda blob, public: _patch(blob, 8 + 4 + 4 + 8, bytes(8)).hex(),
-    "weight_off_tau": lambda blob, public:
-        _patch(blob, 8 + 4 + 4 + 8 + 8, struct.pack("<I", PARAMS.w + 1)).hex(),
-    "public_input_kind": lambda blob, public: public.hex(),
-    "number": lambda blob, public: 17,
-    "list": lambda blob, public: [blob.hex()],
+    "truncated_header": lambda blob, public, odd: blob[:20].hex(),
+    "short_part": lambda blob, public, odd: blob[:-1].hex(),
+    "trailing_byte": lambda blob, public, odd: (blob + b"\x00").hex(),
+    "bad_tag": lambda blob, public, odd: _patch(blob, 8, b"FEDZKP-H1").hex(),
+    "no_clients": lambda blob, public, odd: _field(blob, 0, 0)[:HEADER_BYTES].hex(),
+    # m and l swapped, and the y block 3 * 16 bits shorter to match
+    "m_not_above_l": lambda blob, public, odd:
+        _field(_field(blob, 1, PARAMS.l), 2, PARAMS.m)[:-6].hex(),
+    "w_above_half_m": lambda blob, public, odd: _field(blob, 3, PARAMS.m // 2 + 1).hex(),
+    "a_padding_bit": lambda blob, public, odd: _padding_bit(odd, "A").hex(),
+    "y_padding_bit": lambda blob, public, odd: _padding_bit(odd, "y").hex(),
+    "public_input_kind": lambda blob, public, odd: public.hex(),
+    "number": lambda blob, public, odd: 17,
+    "list": lambda blob, public, odd: [blob.hex()],
 }
 
 
@@ -937,27 +961,46 @@ class TestAggregateMemo:
         assert self.session().accepted and self.session(seed=34).accepted
         assert self.calls == {"decode": 1, "hash": 1, "basis": 1, "reduced": 1}
 
+    def test_two_taus_that_round_to_one_weight_share_the_entry(self, tmp_path):
+        # 1/4 and 6/25 both give w = 12 at m = 48: one statement, one file, one digest
+        paths = [tmp_path / "quarter.bin", tmp_path / "six_25ths.bin"]
+        for path, params in zip(paths, (PARAMS, SAME_W)):
+            save_aggregate(path, self.agg, params)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        aggs = [load_aggregate(path)[0] for path in paths]
+        verifiers = []
+        for k in range(4):  # alternating, so the prover's own entry misses each time
+            prover = ProverSession(self.pairs[1][1], aggs[k % 2], (PARAMS, SAME_W)[k % 2],
+                                   1, d=4, rng=np.random.default_rng(80 + k), l_com=L_COM)
+            verifier = VerifierSession(self.wm.h, ERR_N, d=4,
+                                       rng=np.random.default_rng(90 + k), l_com=L_COM)
+            verifiers.append(drive(prover, verifier)[1])
+        assert all(v.accepted for v in verifiers)
+        assert [types(v.transcript).count("AGG_REQUEST") for v in verifiers] == [1, 0, 0, 0]
+        assert self.calls == {"decode": 1, "hash": 1, "basis": 1, "reduced": 1}
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_a_malformed_aggregate_draws_an_error(self, case, tmp_path):
         assert self.session().accepted
         entry = protocol._last_valid
-        blob = bytes.fromhex(encode_aggregate(self.agg, PARAMS)["aggregate"])
+        blob = bytes.fromhex(encode_aggregate(self.agg)["aggregate"])
         save_public_input(tmp_path / "public_0.bin", self.pairs[0][0], PARAMS)
         public = (tmp_path / "public_0.bin").read_bytes()
-        v, out = self.feed_aggregate({"aggregate": MALFORMED[case](blob, public)})
+        odd = bytes.fromhex(encode_aggregate(make_world(seed=24, params=ODD)[2])["aggregate"])
+        v, out = self.feed_aggregate({"aggregate": MALFORMED[case](blob, public, odd)})
         assert v.done and not v.accepted and out[0]["type"] == "ERROR"
         assert protocol._last_valid is entry
 
     def test_bad_hex_is_rejected_with_a_warm_memo(self):
         assert self.session().accepted
-        text = encode_aggregate(self.agg, PARAMS)["aggregate"]
+        text = encode_aggregate(self.agg)["aggregate"]
         v, out = self.feed_aggregate({"aggregate": text[:-2] + "zz"})
         assert v.done and out[0]["type"] == "ERROR" and "hex" in out[0]["message"]
 
     def test_an_altered_aggregate_fails_and_leaves_the_entry(self):
         assert self.session().accepted
         entry = protocol._last_valid
-        text = encode_aggregate(self.agg, PARAMS)["aggregate"]
+        text = encode_aggregate(self.agg)["aggregate"]
         doc = {"aggregate": flip_hex(text, 2 * HEADER_BYTES)}  # part 0's A
         v, out = self.feed_aggregate(doc)
         assert out[0]["type"] == "VALIDITY_RESULT" and not out[0]["accepted"]
@@ -1019,8 +1062,8 @@ class TestAggregateMemo:
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_bytes_unlike_the_digest_are_rejected(self, warm):
-        genuine = encode_aggregate(self.agg, PARAMS)
-        third = encode_aggregate(relabel(self.agg, THIRD), THIRD)
+        genuine = encode_aggregate(self.agg)
+        third = encode_aggregate(relabel(self.agg, THIRD.w))
         # the same A and y relabelled to another w: only the header differs
         head = 2 * HEADER_BYTES
         assert third["aggregate"][:head] != genuine["aggregate"][:head]
@@ -1048,7 +1091,7 @@ class TestAggregateMemo:
 
     def test_an_unsolicited_agg_input_after_a_hit_is_an_error(self):
         assert self.session().accepted
-        genuine = encode_aggregate(self.agg, PARAMS)
+        genuine = encode_aggregate(self.agg)
         v, out = self.hello(genuine["digest"])
         assert [m["type"] for m in out] == ["VALIDITY_RESULT"] and out[0]["accepted"]
         out = v.feed(json.dumps({"type": "AGG_INPUT", "session": "s", "seq": 1,
@@ -1058,7 +1101,7 @@ class TestAggregateMemo:
         assert self.calls["decode"] == 1
 
     def test_threads_share_the_entry_without_a_wrong_verdict(self):
-        genuine = encode_aggregate(self.agg, PARAMS)
+        genuine = encode_aggregate(self.agg)
         last = len(genuine["aggregate"]) - 1  # in the last part's y
         altered = {"aggregate": flip_hex(genuine["aggregate"], last)}
         errors = []
@@ -1103,7 +1146,7 @@ class TestAggregateMemo:
         t.start()
         assert ready.wait(10.0)
         verdicts = [run_prover_endpoint("127.0.0.1", port_box[0], self.pairs[c][1],
-                                        self.agg, PARAMS, c, 6,
+                                        self.agg, c, 6,
                                         np.random.default_rng(26 + c), l_com=L_COM)
                     for c in (0, 2)]
         t.join(30.0)
@@ -1124,9 +1167,9 @@ class TestAggregateInputLine:
         monkeypatch.setattr(protocol, "_last_sent", None)
         self.encodes = 0
 
-        def counted(agg, params):
+        def counted(agg):
             self.encodes += 1
-            return encode(agg, params)
+            return encode(agg)
 
         encode = protocol.encode_aggregate
         monkeypatch.setattr(protocol, "encode_aggregate", counted)
@@ -1147,43 +1190,35 @@ class TestAggregateInputLine:
             prover, line = self.agg_line(self.agg, PARAMS)
             assert line == protocol._encode({
                 "type": "AGG_INPUT", "session": prover.session_id, "seq": 1,
-                "aggregate": encode_aggregate(self.agg, PARAMS)["aggregate"]})
+                "aggregate": encode_aggregate(self.agg)["aggregate"]})
         assert self.encodes == 1
 
     def test_equal_params_reuse_the_entry(self):
+        # the entry is keyed on the aggregate alone, so any params reuse it
         self.agg_line(self.agg, PARAMS)
         self.agg_line(self.agg, XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=PARAMS.tau))
+        self.agg_line(self.agg, SAME_W)
         assert self.encodes == 1
-
-    @pytest.mark.parametrize("params, match", [
-        (THIRD, "weight"), (XlpnParams(m=PARAMS.m, l=PARAMS.l - 8, tau=PARAMS.tau), "dimensions"),
-    ], ids=["weight", "dimensions"])
-    def test_params_that_relabel_the_aggregate_are_refused(self, params, match):
-        # a header must state the aggregate's own m, l and w
-        with pytest.raises(ValueError, match=match):
-            encode_aggregate(self.agg, params)
-        prover = ProverSession(self.pairs[0][1], self.agg, params, 0, d=4, rng=self.rng)
-        with pytest.raises(ValueError, match=match):
-            prover.start()
-        assert protocol._last_sent is None
 
     def test_no_stale_bytes_across_aggregates_or_tau(self):
         _, other_pairs, other, _ = make_world(seed=32)
         worlds = [(self.agg, PARAMS, self.pairs[0][1]), (other, PARAMS, other_pairs[0][1])]
-        worlds += worlds + [(relabel(self.agg, THIRD), THIRD, None),
-                            (self.agg, SAME_W, None), (self.agg, PARAMS, None)]
+        # params never reach the line: THIRD over self.agg still sends self.agg
+        worlds += worlds + [(relabel(self.agg, THIRD.w), THIRD, None),
+                            (self.agg, THIRD, None), (self.agg, SAME_W, None),
+                            (self.agg, PARAMS, None)]
         for agg, params, cred in worlds:
             _, line = self.agg_line(agg, params, cred)
             doc = json.loads(line)
-            assert doc["aggregate"] == encode_aggregate(agg, params)["aggregate"]
+            assert doc["aggregate"] == encode_aggregate(agg)["aggregate"]
             assert decode_aggregate(doc)[1] == agg
 
     def test_threads_never_send_another_threads_aggregate(self):
         _, other_pairs, other, _ = make_world(seed=33)
-        worlds = [(agg, params, cred, encode_aggregate(agg, params)["aggregate"])
+        worlds = [(agg, params, cred, encode_aggregate(agg)["aggregate"])
                   for agg, params, cred in ((self.agg, PARAMS, self.pairs[0][1]),
                                             (other, PARAMS, other_pairs[0][1]),
-                                            (relabel(self.agg, THIRD), THIRD,
+                                            (relabel(self.agg, THIRD.w), THIRD,
                                              self.pairs[0][1]))]
         errors = []
 

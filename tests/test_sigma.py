@@ -27,6 +27,13 @@ from fedzkp.sigma import (
 SMALL = XlpnParams(m=12, l=8, tau=Fraction(1, 4))
 
 
+def forced_challenge(c):
+    """A Challenge holding c, past the constructor's range check."""
+    ch = Challenge(0)
+    object.__setattr__(ch, "c", c)
+    return ch
+
+
 def honest_round(pub, cred, c, rng, l_com=64):
     state, msg1 = prover_commit(pub, cred, rng, l_com)
     resp = prover_respond(state, Challenge(c))
@@ -91,8 +98,11 @@ def test_response_reveals_only_prescribed_values():
     r2 = prover_respond(state, Challenge(2))
     assert r2.pi is None and r2.t0 is None and r2.d0 is None
     assert r2.t1 is not None and r2.t2 is not None
-    with pytest.raises(ValueError):
-        prover_respond(state, 5)
+    with pytest.raises(ValueError, match="0, 1 or 2"):
+        Challenge(5)
+    for out_of_range in (5, -1):  # OPENS[-1] would open C1 and C2
+        with pytest.raises(ValueError, match="0, 1 or 2"):
+            prover_respond(state, forced_challenge(out_of_range))
 
 
 # ------------------------------------------------------------- completeness
@@ -167,7 +177,8 @@ def test_malformed_response_rejects_without_raising(round_per_challenge):
             assert verifier_check_round(pub, msg1, Challenge(other), resp) is False
         for out_of_range in (3, -1):  # on both sides
             bad = replace(resp, c=out_of_range)
-            assert verifier_check_round(pub, msg1, out_of_range, bad) is False
+            assert verifier_check_round(pub, msg1, forced_challenge(out_of_range),
+                                        bad) is False
         assert verifier_check_round(pub, msg1, Challenge(c), None) is False
 
 

@@ -1,6 +1,7 @@
 """Round-trip and corruption tests for the on-disk formats."""
 import ast
 import csv
+import hashlib
 import os
 import struct
 from fractions import Fraction
@@ -14,7 +15,9 @@ from fedzkp.gf2 import BitVec, mat_vec_mul
 from fedzkp.lpn import XlpnParams, gen_instance
 from fedzkp.model import ModelState, RoundRecord, DetectionReport, init_model, make_embedding
 from fedzkp.storage import (
+    KIND_PUBLIC_INPUT,
     MAGIC,
+    aggregate_to_bytes,
     load_aggregate,
     load_checkpoint,
     load_credential,
@@ -29,9 +32,11 @@ from fedzkp.storage import (
     save_public_input,
     save_watermark,
 )
-from fedzkp.watermark import aggregate, hash_watermark
+from fedzkp.watermark import aggregate, canonical_bytes, hash_watermark
 
 PARAMS = XlpnParams(m=48, l=32, tau=Fraction(1, 4))
+SIZES = (PARAMS.m, PARAMS.l, PARAMS.w)  # what a loader reports beside the object
+HEAD = 8 + 9  # magic and kind byte, then the FEDZKP-H2 tag of a statement file
 
 
 @pytest.fixture
@@ -44,8 +49,8 @@ class TestCredentialFiles:
         pub, cred = gen_instance(PARAMS, rng)
         path = tmp_path / "cred.bin"
         save_credential(path, cred, PARAMS)
-        back, params = load_credential(path)
-        assert params == PARAMS
+        back, sizes = load_credential(path)
+        assert sizes == SIZES
         assert back.s == cred.s and back.e == cred.e
 
     def test_magic_present(self, tmp_path, rng):
@@ -88,7 +93,7 @@ class TestCredentialFiles:
         path = tmp_path / "cred.bin"
         save_credential(path, cred, PARAMS)
         data = bytearray(path.read_bytes())
-        data[8 + 4 + 4 + 8 + 8] ^= 0xFF  # weight field inside the header
+        data[8 + 4 + 4] ^= 0xFF  # weight field inside the (m, l, w) header
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError):
             load_credential(path)
@@ -99,8 +104,8 @@ class TestPublicInputFiles:
         pub, cred = gen_instance(PARAMS, rng)
         path = tmp_path / "pub.bin"
         save_public_input(path, pub, PARAMS)
-        back, params = load_public_input(path)
-        assert back == pub and back.w == PARAMS.w and params == PARAMS
+        back, sizes = load_public_input(path)
+        assert back == pub and back.w == PARAMS.w and sizes == SIZES
         assert back.y == mat_vec_mul(back.A, cred.s) ^ cred.e
 
     def test_file_never_contains_credential(self, tmp_path, rng):
@@ -117,6 +122,19 @@ class TestPublicInputFiles:
         pub, _ = gen_instance(PARAMS, rng)
         with pytest.raises(ValueError, match="dimensions"):
             save_public_input(tmp_path / "pub.bin", pub, XlpnParams(m=48, l=24, tau=Fraction(1, 4)))
+
+    def test_the_file_is_a_one_client_statement(self, tmp_path, rng):
+        pub, _ = gen_instance(PARAMS, rng)
+        save_public_input(tmp_path / "pub.bin", pub, PARAMS)
+        assert (tmp_path / "pub.bin").read_bytes()[8:] == canonical_bytes(aggregate([pub]))
+
+    def test_a_two_client_statement_is_refused(self, tmp_path, rng):
+        agg = aggregate([gen_instance(PARAMS, rng)[0] for _ in range(2)])
+        path = tmp_path / "pub.bin"
+        blob = aggregate_to_bytes(agg)
+        path.write_bytes(MAGIC + bytes([KIND_PUBLIC_INPUT]) + blob[8:])
+        with pytest.raises(ValueError, match="2 client inputs"):
+            load_public_input(path)
 
 
 class TestAggregateFiles:
@@ -139,11 +157,29 @@ class TestAggregateFiles:
     def test_round_trip_keeps_the_statement(self, tmp_path, rng):
         agg = aggregate([gen_instance(PARAMS, rng)[0] for _ in range(3)])
         save_aggregate(tmp_path / "agg.bin", agg, PARAMS)
-        back, _ = load_aggregate(tmp_path / "agg.bin")
-        assert back == agg and back.w == PARAMS.w
+        back, sizes = load_aggregate(tmp_path / "agg.bin")
+        assert back == agg and back.w == PARAMS.w and sizes == SIZES
+
+    def test_the_file_holds_the_bytes_the_watermark_hashes(self, tmp_path, rng):
+        agg = aggregate([gen_instance(PARAMS, rng)[0] for _ in range(3)])
+        save_aggregate(tmp_path / "agg.bin", agg, PARAMS)
+        body = (tmp_path / "agg.bin").read_bytes()[8:]
+        assert body == canonical_bytes(agg)
+        for n in (61, 64, 1024):
+            digest = hashlib.shake_256(body).digest((n + 7) // 8)
+            bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8), count=n)
+            assert np.array_equal(hash_watermark(agg, n).h.bits, bits)
+
+    def test_two_taus_that_round_to_one_weight_write_one_file(self, tmp_path, rng):
+        same_w = XlpnParams(m=48, l=32, tau=Fraction(6, 25))
+        assert same_w.w == PARAMS.w and same_w.tau != PARAMS.tau
+        agg = aggregate([gen_instance(PARAMS, rng)[0] for _ in range(3)])
+        save_aggregate(tmp_path / "quarter.bin", agg, PARAMS)
+        save_aggregate(tmp_path / "six_25ths.bin", agg, same_w)
+        assert (tmp_path / "quarter.bin").read_bytes() == (tmp_path / "six_25ths.bin").read_bytes()
 
 
-# a header whose tau gives another w would relabel the statement
+# a header whose w differs from the object's would relabel the statement
 OTHER_W = XlpnParams(m=48, l=32, tau=Fraction(1, 3))
 
 
@@ -158,14 +194,15 @@ def test_a_header_with_another_weight_is_refused(tmp_path, rng, write):
     assert not (tmp_path / "file.bin").exists()
 
 
-# every file kind that opens with the (m, l, tau, w) header
+# every file kind that opens with an (m, l, w) header: (writer, loader,
+# offset of w in the file)
 WRITERS = {
     "credential": (lambda path, pub, cred: save_credential(path, cred, PARAMS),
-                   load_credential),
+                   load_credential, 8 + 8),
     "public_input": (lambda path, pub, cred: save_public_input(path, pub, PARAMS),
-                     load_public_input),
+                     load_public_input, HEAD + 12),
     "aggregate": (lambda path, pub, cred: save_aggregate(path, aggregate([pub]), PARAMS),
-                  load_aggregate),
+                  load_aggregate, HEAD + 12),
 }
 
 
@@ -183,13 +220,27 @@ class TestParameterHeaders:
             load(path)
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
-    def test_zero_tau_denominator_is_a_value_error(self, tmp_path, rng, kind):
+    def test_a_weight_above_half_m_is_a_value_error(self, tmp_path, rng, kind):
         path, load = self.saved(tmp_path, rng, kind)
-        data = bytearray(path.read_bytes())
-        data[8 + 4 + 4 + 8:8 + 4 + 4 + 8 + 8] = bytes(8)  # tau denominator field
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="denominator"):
+        at = WRITERS[kind][2]
+        data = path.read_bytes()
+        path.write_bytes(data[:at] + struct.pack("<I", PARAMS.m // 2 + 1) + data[at + 4:])
+        with pytest.raises(ValueError, match="weight"):
             load(path)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_an_old_tau_header_is_refused_by_kind(self, tmp_path, rng, kind):
+        # the layout before: kinds 1-3, then m, l, tau as a fraction and w
+        pub, cred = gen_instance(PARAMS, rng)
+        old_kind, body = {"credential": (1, cred.s.to_bytes() + cred.e.to_bytes()),
+                          "public_input": (2, pub.A.to_bytes() + pub.y.to_bytes()),
+                          "aggregate": (3, struct.pack("<I", 1) + pub.A.to_bytes()
+                                        + pub.y.to_bytes())}[kind]
+        path = tmp_path / "old.bin"
+        path.write_bytes(MAGIC + bytes([old_kind])
+                         + struct.pack("<IIQQI", PARAMS.m, PARAMS.l, 1, 4, PARAMS.w) + body)
+        with pytest.raises(ValueError, match=f"wrong file kind {old_kind}, expected"):
+            WRITERS[kind][1](path)
 
 
 class TestWatermarkFiles:
@@ -336,11 +387,11 @@ def saved_kinds(rng):
 
     return {
         "credential": (lambda path: save_credential(path, cred, PARAMS),
-                       lambda path: load_credential(path) == (cred, PARAMS)),
+                       lambda path: load_credential(path) == (cred, SIZES)),
         "public_input": (lambda path: save_public_input(path, pub, PARAMS),
-                         lambda path: load_public_input(path) == (pub, PARAMS)),
+                         lambda path: load_public_input(path) == (pub, SIZES)),
         "aggregate": (lambda path: save_aggregate(path, agg, PARAMS),
-                      lambda path: load_aggregate(path) == (agg, PARAMS)),
+                      lambda path: load_aggregate(path) == (agg, SIZES)),
         "checkpoint": (lambda path: save_checkpoint(path, state), same_state),
         "watermark": (lambda path: save_watermark(path, wm),
                       lambda path: load_watermark(path) == wm),
