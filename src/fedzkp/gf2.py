@@ -4,12 +4,13 @@ Values keep one bit per byte (numpy uint8, each entry 0 or 1) so that
 elementwise work, matrix application and packing all run in C.  A matrix
 answers column-space questions from a basis built lazily in two stages.
 Stage 1, all that rank() needs, is the XOR-echelon pass over the columns
-packed into Python integers: the XOR of two columns is a single big-int
-operation regardless of height.  Stage 2, built on the first membership
-or solve query, back-substitutes that basis into reduced form and keeps
-it as packed uint64 words: the parity-check rows H of the column space
-and, per pivot, the columns that XOR to its reduced vector.  b is in the
-image iff every row of H meets it in an even number of bits.
+as Python integers, each holding a column and the columns that make it
+up, pivoting on its highest set row: a reduction step is one XOR at any
+height.  Stage 2, built on the first membership or solve query,
+back-substitutes that basis into reduced form and keeps it as packed
+uint64 words: the parity-check rows H of the column space and, per
+pivot, the columns that XOR to its reduced vector.  b is in the image
+iff every row of H meets it in an even number of bits.
 
 Serialization convention used by every module downstream: bits pack 8 per
 byte, most significant bit first within each byte; a matrix serializes
@@ -204,41 +205,39 @@ class BitMatrix:
         return len(self._column_basis())
 
     def _column_basis(self) -> dict:
-        """XOR-echelon basis of the column space, keyed by pivot low-bit.
+        """XOR-echelon basis of the column space: pivot row -> entry.
 
-        Each entry maps a power of two (the pivot, i.e. the first set row
-        position of the stored vector) to a pair (vector, combination),
-        where `combination` records which original columns XOR to
-        `vector`.  Built once and cached; rebuilding is idempotent, so the
-        unlocked cache write is benign under concurrent use.
+        Column j enters as vector << cols | 1 << j, the low bits recording
+        which original columns XOR to the vector, so one XOR reduces both.
+        An entry's pivot is its vector's highest set row; a column whose
+        vector reduces to zero (pivot below 0) is dependent.  Built once
+        and cached; rebuilding is idempotent, so the unlocked cache write
+        is benign under concurrent use.
         """
         if self._basis is None:
             basis: dict = {}
-            a = self._a
-            if a.shape[0] and a.shape[1]:
-                packed = np.packbits(a, axis=0, bitorder="little").tobytes(order="F")
-                stride = (a.shape[0] + 7) // 8
-            for j in range(self.cols):
-                v = int.from_bytes(packed[j * stride:(j + 1) * stride], "little") if self.rows else 0
-                c = 1 << j
-                while v:
-                    low = v & -v
-                    hit = basis.get(low)
-                    if hit is None:
-                        basis[low] = (v, c)
-                        break
-                    v ^= hit[0]
-                    c ^= hit[1]
+            m, l = self._a.shape
+            if m and l:
+                packed = np.packbits(self._a, axis=0, bitorder="little").tobytes(order="F")
+                stride = (m + 7) // 8
+                for j in range(l):
+                    w = int.from_bytes(packed[j * stride:(j + 1) * stride], "little") << l | 1 << j
+                    while (p := w.bit_length() - 1 - l) >= 0:
+                        hit = basis.get(p)
+                        if hit is None:
+                            basis[p] = w
+                            break
+                        w ^= hit
             self._basis = basis
         return self._basis
 
     def _reduced_basis(self) -> tuple:
         """(H, pivots, combos): stage 2 of the column basis, built on first use.
 
-        Back-substitution clears every other pivot bit from each basis
-        vector, highest pivot first, so each vector XORs in only the
-        already reduced vectors at its own set pivot bits.  In reduced form
-        a member b is the XOR of the vectors at the pivots where b is set,
+        Back-substitution clears every other pivot bit from each entry,
+        lowest pivot first: those bits all lie below the entry's own pivot,
+        so it XORs in only already reduced entries.  In reduced form a
+        member b is the XOR of the vectors at the pivots where b is set,
         which gives what is kept here, H and combos as uint64 words:
 
         - H, one parity-check row per non-pivot row n of A: bit n, and bit
@@ -251,30 +250,29 @@ class BitMatrix:
         """
         if self._reduced is None:
             basis = self._column_basis()
-            m, r = self.rows, len(basis)
-            mask = sum(basis)  # the pivots are distinct powers of two
-            # each row carries its combination above bit m, so one XOR moves both
+            m, l, r = self.rows, self.cols, len(basis)
+            pivots = sorted(basis)
+            mask = sum(1 << p for p in pivots)
             reduced: dict = {}
-            for low in sorted(basis, reverse=True):
-                v, c = basis[low]
-                row = v | c << m
-                hits = (v ^ low) & mask  # the other pivots set in v, all above low
+            for p in pivots:
+                w = basis[p]
+                hits = (w >> l ^ 1 << p) & mask  # the other pivots set, all below p
                 while hits:
-                    bit = hits & -hits
-                    row ^= reduced[bit]
-                    hits ^= bit
-                reduced[low] = row
-            width = m + self.cols
+                    q = hits.bit_length() - 1
+                    w ^= reduced[q]
+                    hits ^= 1 << q
+                reduced[p] = w
+            width = m + l
             stride = (width + 7) // 8
-            data = b"".join(row.to_bytes(stride, "little") for row in reduced.values())
+            data = b"".join(w.to_bytes(stride, "little") for w in reduced.values())
             rows = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(r, stride),
                                  axis=1, count=width, bitorder="little")
-            pivots = np.array([low.bit_length() - 1 for low in reduced], dtype=np.int64)
+            pivots = np.array(pivots, dtype=np.int64)
             free = np.delete(np.arange(m), pivots)
             checks = np.zeros((m - r, m), dtype=np.uint8)
-            checks[:, pivots] = rows[:, free].T
+            checks[:, pivots] = rows[:, l + free].T
             checks[np.arange(m - r), free] = 1
-            self._reduced = (_pack_words(checks), pivots, _pack_words(rows[:, m:]))
+            self._reduced = (_pack_words(checks), pivots, _pack_words(rows[:, :l]))
         return self._reduced
 
 

@@ -243,10 +243,11 @@ def _encoded_aggregate(agg: AggregatedInput) -> dict:
 
 
 def decode_aggregate(body: dict) -> tuple:
-    """(digest, aggregate) of an AGG_INPUT body, hashing the bytes received."""
+    """(digest, aggregate, statement bytes) of an AGG_INPUT body, hashing
+    the bytes received."""
     blob = _hex_field(body, "aggregate")
     try:
-        return aggregate_digest(blob), aggregate_from_bytes(blob, "aggregate")
+        return (aggregate_digest(blob), *aggregate_from_bytes(blob, "aggregate"))
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -383,11 +384,11 @@ class VerifierSession(_Session):
             return [self._send("AGG_REQUEST", {})]
 
         if mtype == "AGG_INPUT":
-            digest, agg = decode_aggregate(msg)
+            digest, agg, statement = decode_aggregate(msg)
             if digest != self._digest:
                 raise ProtocolError("aggregate bytes do not match the HELLO digest "
                                     + self._digest.hex())
-            return self._validity((len(self.h), digest), agg)
+            return self._validity((len(self.h), digest), agg, statement=statement)
 
         self._check_round(msg)
         if mtype == "COMMIT":
@@ -413,15 +414,15 @@ class VerifierSession(_Session):
                               {"accepted": self.accepted, "rounds_passed": self.round}))
         return out
 
-    def _validity(self, key: tuple, agg: AggregatedInput, fresh=None) -> list:
-        """VALIDITY_RESULT for a memo entry, or for a decoded aggregate
-        (`fresh` None), which becomes the entry under `key` if it passes."""
+    def _validity(self, key: tuple, agg: AggregatedInput, fresh=None, statement=None) -> list:
+        """VALIDITY_RESULT for a memo entry, or for an aggregate decoded from
+        `statement` (`fresh` None), which becomes the entry under `key` if it passes."""
         global _last_valid
         if self.client >= agg.K:
             raise ProtocolError("client index outside the aggregate")
         admit = fresh is None
         if admit:
-            fresh = hash_watermark(agg, len(self.h))
+            fresh = hash_watermark(agg, len(self.h), statement)
         ok, dist = validity(self.h, fresh, self.err_n)
         if ok and admit:
             _last_valid = (key, agg, fresh)

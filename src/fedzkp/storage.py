@@ -139,8 +139,10 @@ def aggregate_to_bytes(agg: AggregatedInput) -> bytes:
     return MAGIC + bytes([KIND_AGGREGATE]) + canonical_bytes(agg)
 
 
-def aggregate_from_bytes(data: bytes, name) -> AggregatedInput:
-    return from_canonical_bytes(_view(data, KIND_AGGREGATE, name))
+def aggregate_from_bytes(data: bytes, name) -> tuple:
+    """(aggregate, the view of data holding its canonical statement bytes)."""
+    statement = _view(data, KIND_AGGREGATE, name)
+    return from_canonical_bytes(statement), statement
 
 
 def save_aggregate(path: PathLike, agg: AggregatedInput, params: XlpnParams):
@@ -149,7 +151,7 @@ def save_aggregate(path: PathLike, agg: AggregatedInput, params: XlpnParams):
 
 
 def load_aggregate(path: PathLike) -> tuple:
-    agg = aggregate_from_bytes(Path(path).read_bytes(), path)
+    agg = aggregate_from_bytes(Path(path).read_bytes(), path)[0]
     return agg, (agg.m, agg.l, agg.w)
 
 

@@ -95,10 +95,18 @@ def select_component(agg: AggregatedInput, j: int) -> PublicInput:
 
 
 def canonical_bytes(agg: AggregatedInput) -> bytes:
-    header = DOMAIN_TAG + _HEAD.pack(agg.K, agg.m, agg.l, agg.w)
-    a_bits = np.concatenate([p.A.array.ravel() for p in agg.parts])
-    y_bits = np.concatenate([p.y.bits for p in agg.parts])
-    return header + np.packbits(a_bits).tobytes() + np.packbits(y_bits).tobytes()
+    # A packs one slot at a time, never as one K*m*l-byte array; the bits
+    # past a slot's last whole byte carry over to the front of the next
+    chunks = [DOMAIN_TAG + _HEAD.pack(agg.K, agg.m, agg.l, agg.w)]
+    carry = np.zeros(0, dtype=np.uint8)
+    for p in agg.parts:
+        bits = np.concatenate([carry, p.A.array.ravel()]) if carry.size else p.A.array.ravel()
+        cut = bits.size - bits.size % 8
+        chunks.append(np.packbits(bits[:cut]).tobytes())
+        carry = bits[cut:]
+    chunks.append(np.packbits(carry).tobytes())
+    chunks.append(np.packbits(np.concatenate([p.y.bits for p in agg.parts])).tobytes())
+    return b"".join(chunks)
 
 
 def _unpack_block(raw: memoryview, n: int, what: str) -> np.ndarray:
@@ -132,11 +140,15 @@ def from_canonical_bytes(data) -> AggregatedInput:
     return aggregate(PublicInput(BitMatrix._wrap(a), BitVec._wrap(v), w) for a, v in zip(A, y))
 
 
-def hash_watermark(agg: AggregatedInput, n: int = DEFAULT_WATERMARK_BITS) -> HashWatermark:
-    """n-bit SHAKE-256 digest of the canonical aggregate serialization."""
+def hash_watermark(agg: AggregatedInput, n: int = DEFAULT_WATERMARK_BITS,
+                   statement=None) -> HashWatermark:
+    """n-bit SHAKE-256 digest of the canonical aggregate serialization,
+    hashed as given in `statement` when a parser has just accepted it."""
     if n < 1:
         raise ValueError("watermark length must be at least 1 bit")
-    digest = hashlib.shake_256(canonical_bytes(agg)).digest((n + 7) // 8)
+    if statement is None:
+        statement = canonical_bytes(agg)
+    digest = hashlib.shake_256(statement).digest((n + 7) // 8)
     full = np.unpackbits(np.frombuffer(digest, dtype=np.uint8), count=n)
     return HashWatermark(BitVec(full), n)
 

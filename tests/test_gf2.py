@@ -4,6 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below is skipped, the rest still runs
+    given = None
+
 from fedzkp.gf2 import (
     BitMatrix,
     BitVec,
@@ -325,6 +330,61 @@ def test_solve_full_rank_unique():
         x_true = BitVec.random(6, rng)
         b = mat_vec_mul(A, x_true)
         assert solve_linear(A, b) == x_true  # full column rank: only one answer
+
+
+# columns of a drawn matrix: random, zero, a repeat, or the sum of two earlier ones
+COLUMN_KINDS = ("random", "zero", "repeat", "sum")
+
+
+def drawn_bits(data, m):
+    value = data.draw(st.integers(0, (1 << m) - 1))
+    return np.array([(value >> i) & 1 for i in range(m)], dtype=np.uint8)
+
+
+def drawn_matrix(data):
+    """A small matrix of heights around the 64-bit word edge, often l >= m."""
+    m = data.draw(st.sampled_from([1, 2, 3, 5, 8, 63, 64, 65]), label="m")
+    l = data.draw(st.integers(1, 12), label="l")
+    cols = []
+    for j in range(l):
+        kind = data.draw(st.sampled_from(COLUMN_KINDS if j else COLUMN_KINDS[:2]))
+        if kind == "random":
+            cols.append(drawn_bits(data, m))
+        elif kind == "zero":
+            cols.append(np.zeros(m, dtype=np.uint8))
+        else:
+            i, k = data.draw(st.integers(0, j - 1)), data.draw(st.integers(0, j - 1))
+            cols.append(cols[i] if kind == "repeat" else cols[i] ^ cols[k])
+    return np.column_stack(cols)
+
+
+if given is not None:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_basis_answers_match_independent_oracles(data):
+        a = drawn_matrix(data)
+        m, l = a.shape
+        A = BitMatrix(a)
+        greedy = greedy_columns(a)
+        assert A.rank() == oracle_rank(a) == len(greedy)
+        image = image_set(a.tolist(), l) if l <= 10 else None
+        for _ in range(6):
+            if data.draw(st.booleans(), label="member"):
+                x = np.array([data.draw(st.integers(0, 1)) for _ in range(l)], dtype=np.int64)
+                b = ((a.astype(np.int64) @ x) % 2).astype(np.uint8)
+            else:
+                b = drawn_bits(data, m)
+            member = tuple(b.tolist()) in image if image is not None else oracle_member(a, b)
+            assert in_image(A, BitVec(b)) is member
+            x = solve_linear(A, BitVec(b))
+            assert (x is not None) is member
+            if member:
+                assert np.array_equal((a.astype(np.int64) @ x.bits) % 2, b)
+                assert not np.delete(x.bits, greedy).any()  # on the greedy columns, so unique
+else:
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_basis_answers_match_independent_oracles():
+        pass
 
 
 # ------------------------------------------------------ hamming_distance

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedzkp import protocol
+from fedzkp import protocol, watermark
 from fedzkp.commitments import Commitment
 from fedzkp.gf2 import BitMatrix, BitVec, mat_vec_mul
 from fedzkp.lpn import Credential, XlpnParams, gen_instance
@@ -28,7 +28,7 @@ from fedzkp.protocol import (
 )
 from fedzkp.sigma import Challenge, RoundMessage1, simulate_round
 from fedzkp.storage import load_aggregate, save_aggregate, save_public_input
-from fedzkp.watermark import aggregate, hash_watermark, select_component
+from fedzkp.watermark import aggregate, canonical_bytes, hash_watermark, select_component
 
 PARAMS = XlpnParams(m=48, l=32, tau=Fraction(1, 4))
 N_BITS = 64
@@ -177,8 +177,8 @@ def test_agg_input_carries_the_aggregate_file_bytes(tmp_path):
     doc = encode_aggregate(agg)
     blob = (tmp_path / "aggregate.bin").read_bytes()
     assert bytes.fromhex(doc["aggregate"]) == blob and doc["digest"] == shake(blob)
-    digest, back = decode_aggregate(doc)
-    assert digest.hex() == doc["digest"]
+    digest, back, statement = decode_aggregate(doc)
+    assert digest.hex() == doc["digest"] and bytes(statement) == canonical_bytes(agg)
     assert back == agg and hash_watermark(back, N_BITS) == wm
 
 
@@ -960,6 +960,15 @@ class TestAggregateMemo:
     def test_two_sessions_decode_hash_and_eliminate_once(self):
         assert self.session().accepted and self.session(seed=34).accepted
         assert self.calls == {"decode": 1, "hash": 1, "basis": 1, "reduced": 1}
+
+    def test_a_miss_hashes_the_statement_bytes_it_parsed(self, monkeypatch):
+        rebuilt = []
+        rebuild = watermark.canonical_bytes
+        monkeypatch.setattr(watermark, "canonical_bytes",
+                            lambda agg: rebuilt.append(agg) or rebuild(agg))
+        assert self.session().accepted
+        assert self.calls["hash"] == 1 and rebuilt == []
+        assert protocol._last_valid[2] == self.wm
 
     def test_two_taus_that_round_to_one_weight_share_the_entry(self, tmp_path):
         # 1/4 and 6/25 both give w = 12 at m = 48: one statement, one file, one digest

@@ -8,7 +8,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fedzkp.lpn import XlpnParams, gen_instance  # noqa: E402
+from fedzkp.gf2 import BitMatrix, BitVec  # noqa: E402
+from fedzkp.lpn import PublicInput, XlpnParams, gen_instance  # noqa: E402
 from fedzkp.watermark import (  # noqa: E402
     DOMAIN_TAG,
     aggregate,
@@ -102,3 +103,18 @@ def test_each_statement_has_exactly_one_encoding(blob):
     except ValueError:
         return
     assert canonical_bytes(agg) == blob
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(K=st.integers(1, 5), m=st.integers(2, 40), data=st.data())
+def test_canonical_bytes_are_one_packing_of_each_concatenated_block(K, m, data):
+    # the writer packs slot by slot; the oracle concatenates every slot first
+    l = data.draw(st.integers(1, m - 1), label="l")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    parts = [PublicInput(BitMatrix.random(m, l, rng), BitVec.random(m, rng), m // 2)
+             for _ in range(K)]
+    oracle = (DOMAIN_TAG + struct.pack("<IIII", K, m, l, m // 2)
+              + np.packbits(np.concatenate([p.A.array.ravel() for p in parts])).tobytes()
+              + np.packbits(np.concatenate([p.y.bits for p in parts])).tobytes())
+    assert canonical_bytes(aggregate(parts)) == oracle
+
