@@ -2,7 +2,7 @@
 
 Watermark-side: clients embed sign patterns into a scaling layer of a
 shared model during federated training, and an aggregated hash binds the
-pattern set to per-client lattice-style credentials.  Proof-side: a
+pattern set to per-client noisy-linear (xLPN) credentials.  Proof-side: a
 multi-round zero-knowledge protocol lets a client prove knowledge of its
 credential secret without revealing it.
 

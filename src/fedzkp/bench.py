@@ -7,11 +7,12 @@ matrix-vector product plus hashing, so it should grow roughly
 quadratically; verification re-derives the column space of a fresh
 matrix, so roughly cubically.  Fits are least-squares in log-log space.
 
-Each verification call gets a rebuilt matrix object on purpose: the
-column basis is cached per object, and a verifier meeting an aggregate
+Each verification call gets a rebuilt public input on purpose: the
+column basis is cached per matrix, and a verifier meeting an aggregate
 for the first time pays for the echelon pass plus the back-substitution
 that gives the parity checks; later rounds on that object pay only a
-syndrome test.
+syndrome test.  The rebuilt input expands its matrix from the seed while
+the rounds are prepared, so the timed call is the basis and the test.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from statistics import median
 import numpy as np
 
 from .commitments import DEFAULT_COMMIT_BITS
-from .gf2 import BitMatrix
 from .lpn import PublicInput, XlpnParams, gen_instance
 from .sigma import Challenge, prover_commit, prover_respond, verifier_check_round
 
@@ -53,8 +53,10 @@ def _fit(points) -> SlopeReport:
 
 
 def _fresh(pub: PublicInput) -> PublicInput:
-    # same bits, new object: drops the cached column basis
-    return replace(pub, A=BitMatrix.from_bytes(pub.A.to_bytes(), pub.A.rows, pub.A.cols))
+    # same seed, new object: drops the cached matrix and its column basis
+    fresh = replace(pub)
+    fresh.A  # expanded here, outside the timed region
+    return fresh
 
 
 def bench_generation(m_values=DEFAULT_GRID, offset: int = DEFAULT_OFFSET,

@@ -41,12 +41,17 @@ through one loop, _run.
 
 The verifier reads nothing of the statement off the wire.  The weight w
 that challenge 2 checks is the claimed slot's own, from an aggregate
-that passed validity; the hash binds w with every A_j and y_j, so no
+that passed validity; the hash binds w with every seed_j and y_j, so no
 header field can relabel the statement.
 
+Nothing before validity expands a slot's matrix: the parser, the hash
+and the memo lookup read only the seeds and the y's, so a statement that
+declares an m*l far beyond memory is refused at validity for the cost
+of its y block.  The claimed slot's A is expanded at its first round.
+
 A verifier process keeps the last aggregate that passed validity: one
-entry of K*m*l bytes, with its decoded slots and its hash, never admitted
-on a failed check.  It is keyed on the watermark length and the digest
+entry with its decoded slots and its hash, never admitted on a failed
+check.  It is keyed on the watermark length and the digest
 the verifier computed itself from AGG_INPUT bytes it received; a
 prover's announced digest only selects an entry, it never becomes a key.
 A HELLO that names the cached digest skips the transfer, the decode and
@@ -55,12 +60,6 @@ echelon pass, then its reduced form with the parity checks that every
 round's membership test reads) is built once per process.  The distance
 against the session's own watermark, the client index and every round
 are still checked per session.
-
-A prover process keeps the encoding of the last aggregate it sent: one
-entry holding the digest and the hex, keyed on the aggregate object's
-identity.  A repeat claim over the same object skips aggregate_to_bytes,
-the hash and the hex encoding, and the entry keeps that object alive;
-aggregates are immutable.
 """
 from __future__ import annotations
 
@@ -100,10 +99,6 @@ ECHO_CHARS = 64
 # aggregate that passed validity, or None.  Swapped as one tuple, so
 # the verifier threads never see half an entry.
 _last_valid: Optional[tuple] = None
-
-# (AggregatedInput, encode_aggregate's dict) of the last aggregate a
-# prover in this process sent, or None.  Swapped as one tuple, like _last_valid.
-_last_sent: Optional[tuple] = None
 
 
 class ProtocolError(Exception):
@@ -232,22 +227,11 @@ def encode_aggregate(agg: AggregatedInput) -> dict:
     return {"digest": aggregate_digest(blob).hex(), "aggregate": blob.hex()}
 
 
-def _encoded_aggregate(agg: AggregatedInput) -> dict:
-    """encode_aggregate's dict, reused while the same object is sent again."""
-    global _last_sent
-    entry = _last_sent
-    if entry is None or entry[0] is not agg:
-        entry = (agg, encode_aggregate(agg))
-        _last_sent = entry
-    return entry[1]
-
-
 def decode_aggregate(body: dict) -> tuple:
-    """(digest, aggregate, statement bytes) of an AGG_INPUT body, hashing
-    the bytes received."""
+    """(digest, aggregate) of an AGG_INPUT body, hashing the bytes received."""
     blob = _hex_field(body, "aggregate")
     try:
-        return (aggregate_digest(blob), *aggregate_from_bytes(blob, "aggregate"))
+        return aggregate_digest(blob), aggregate_from_bytes(blob, "aggregate")
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -384,11 +368,11 @@ class VerifierSession(_Session):
             return [self._send("AGG_REQUEST", {})]
 
         if mtype == "AGG_INPUT":
-            digest, agg, statement = decode_aggregate(msg)
+            digest, agg = decode_aggregate(msg)
             if digest != self._digest:
                 raise ProtocolError("aggregate bytes do not match the HELLO digest "
                                     + self._digest.hex())
-            return self._validity((len(self.h), digest), agg, statement=statement)
+            return self._validity((len(self.h), digest), agg)
 
         self._check_round(msg)
         if mtype == "COMMIT":
@@ -399,7 +383,7 @@ class VerifierSession(_Session):
                                              "c": self._challenge.c})]
 
         # RESPONSE
-        resp = decode_response(msg, self._pub.A.rows)
+        resp = decode_response(msg, len(self._pub.y))
         ok = verifier_check_round(self._pub, self._msg1, self._challenge, resp)
         out = [self._send("ROUND_RESULT", {"round": self.round, "accepted": ok})]
         if not ok:
@@ -414,15 +398,15 @@ class VerifierSession(_Session):
                               {"accepted": self.accepted, "rounds_passed": self.round}))
         return out
 
-    def _validity(self, key: tuple, agg: AggregatedInput, fresh=None, statement=None) -> list:
-        """VALIDITY_RESULT for a memo entry, or for an aggregate decoded from
-        `statement` (`fresh` None), which becomes the entry under `key` if it passes."""
+    def _validity(self, key: tuple, agg: AggregatedInput, fresh=None) -> list:
+        """VALIDITY_RESULT for a memo entry, or for a freshly decoded aggregate
+        (`fresh` None), which becomes the entry under `key` if it passes."""
         global _last_valid
         if self.client >= agg.K:
             raise ProtocolError("client index outside the aggregate")
         admit = fresh is None
         if admit:
-            fresh = hash_watermark(agg, len(self.h), statement)
+            fresh = hash_watermark(agg, len(self.h))
         ok, dist = validity(self.h, fresh, self.err_n)
         if ok and admit:
             _last_valid = (key, agg, fresh)
@@ -469,7 +453,7 @@ class ProverSession(_Session):
     def start(self) -> list:
         if self.state != "START":
             raise ProtocolError("session already started")
-        self._encoded = _encoded_aggregate(self.agg)
+        self._encoded = encode_aggregate(self.agg)
         self.state = "AGG_REQUEST|VALIDITY_RESULT"
         return [self._send("HELLO", {"client": self.client, "rounds": self.d,
                                      "digest": self._encoded["digest"]})]

@@ -7,9 +7,11 @@ statement's canonical bytes, a K=1 statement for a public input: the
 bytes the watermark hash reads, laid out and parsed by watermark alone.
 The aggregate file is also the protocol's AGG_INPUT payload.  A
 credential is a little-endian (m, l, w) header and the packed s and e.
-No file carries tau, which is only keygen's recipe for w; files whose
-header did (kinds 1 to 3) are refused by kind.  Bit payloads use the
-gf2 packing (8 bits per byte, matrices row-major).  Float payloads are
+No file carries tau, which is only keygen's recipe for w, and no file
+carries a matrix, only the seed it expands from; files whose header
+carried tau (kinds 1 to 3) or whose statement carried every A bit
+(kinds 6 and 7) are refused by kind.  Bit payloads use the gf2 packing
+(8 bits per byte).  Float payloads are
 flat little-endian float32, the model's own width, so a verifier
 extracts the mark from the values training left; a checkpoint's header
 records that width, and a float64 checkpoint from before it is refused.
@@ -48,8 +50,8 @@ MAGIC = b"FEDZKP1"
 
 KIND_CHECKPOINT = 4
 KIND_CREDENTIAL = 5
-KIND_PUBLIC_INPUT = 6
-KIND_AGGREGATE = 7
+KIND_PUBLIC_INPUT = 8
+KIND_AGGREGATE = 9
 
 _CREDENTIAL = struct.Struct("<III")  # m, l, w
 # d_in, omega, classes, theta and W_gamma lengths; then one byte, the float width
@@ -124,7 +126,7 @@ def load_credential(path: PathLike) -> tuple:
 
 
 def save_public_input(path: PathLike, pub: PublicInput, params: XlpnParams):
-    _check_fits(pub.A.rows, pub.A.cols, pub.w, params, "public input")
+    _check_fits(len(pub.y), pub.l, pub.w, params, "public input")
     _write(path, MAGIC + bytes([KIND_PUBLIC_INPUT]) + canonical_bytes(aggregate([pub])))
 
 
@@ -139,10 +141,8 @@ def aggregate_to_bytes(agg: AggregatedInput) -> bytes:
     return MAGIC + bytes([KIND_AGGREGATE]) + canonical_bytes(agg)
 
 
-def aggregate_from_bytes(data: bytes, name) -> tuple:
-    """(aggregate, the view of data holding its canonical statement bytes)."""
-    statement = _view(data, KIND_AGGREGATE, name)
-    return from_canonical_bytes(statement), statement
+def aggregate_from_bytes(data: bytes, name) -> AggregatedInput:
+    return from_canonical_bytes(_view(data, KIND_AGGREGATE, name))
 
 
 def save_aggregate(path: PathLike, agg: AggregatedInput, params: XlpnParams):
@@ -151,7 +151,7 @@ def save_aggregate(path: PathLike, agg: AggregatedInput, params: XlpnParams):
 
 
 def load_aggregate(path: PathLike) -> tuple:
-    agg = aggregate_from_bytes(Path(path).read_bytes(), path)[0]
+    agg = aggregate_from_bytes(Path(path).read_bytes(), path)
     return agg, (agg.m, agg.l, agg.w)
 
 

@@ -7,19 +7,19 @@ to confirm the server included exactly the K client inputs and nothing
 else.  At verification time the extracted (possibly damaged) watermark is
 compared to the recomputed hash under a strict near-collision threshold.
 
-Canonical layout of a statement (K, m, l, w, every A_j, every y_j):
+Canonical layout of a statement (K, m, l, w, every seed_j, every y_j):
 
-    "FEDZKP-H2" || u32le(K) || u32le(m) || u32le(l) || u32le(w)
-                || bits of A_1 .. A_K (row-major, concatenated, packed)
+    "FEDZKP-H3" || u32le(K) || u32le(m) || u32le(l) || u32le(w)
+                || seed_1 .. seed_K (32 bytes each)
                 || bits of y_1 .. y_K (concatenated, packed)
 
-Both bit blocks are packed MSB-first and zero-padded to a byte boundary
-only at the end of the block, so the A block is exactly ceil(K*m*l/8)
-bytes regardless of per-part alignment.  The hash covers the whole
-statement, the weight w that challenge 2 checks included, so an
-aggregate that passes validity fixes every part of it.  Storage's files
-and the protocol's AGG_INPUT carry these same bytes; from_canonical_bytes
-refuses any other string, so each statement has exactly one encoding.
+The y block is packed MSB-first and zero-padded to a byte boundary only
+at its end.  Each seed names its slot's A (lpn.expand_matrix), so the
+hash binds every A_j, and the weight w that challenge 2 checks, without
+reading a matrix: nothing here expands one, and an aggregate that passes
+validity fixes every part of the statement.  Storage's files and the
+protocol's AGG_INPUT carry these same bytes; from_canonical_bytes refuses
+any other string, so each statement has exactly one encoding.
 """
 from __future__ import annotations
 
@@ -30,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVec, hamming_distance
-from .lpn import PublicInput
+from .gf2 import BitVec, hamming_distance
+from .lpn import SEED_BYTES, PublicInput
 
-DOMAIN_TAG = b"FEDZKP-H2"
+DOMAIN_TAG = b"FEDZKP-H3"
 _HEAD = struct.Struct("<IIII")  # K, m, l, w
 DEFAULT_WATERMARK_BITS = 1024
 
@@ -78,9 +78,9 @@ def aggregate(parts) -> AggregatedInput:
     parts = tuple(parts)
     if not parts:
         raise ValueError("need at least one client input")
-    m, l, w = parts[0].A.rows, parts[0].A.cols, parts[0].w
+    m, l, w = len(parts[0].y), parts[0].l, parts[0].w
     for p in parts:
-        if p.A.rows != m or p.A.cols != l or len(p.y) != m:
+        if p.l != l or len(p.y) != m or len(p.seed) != SEED_BYTES:
             raise ValueError("client inputs disagree on dimensions")
         if p.w != w:
             raise ValueError("client inputs disagree on the weight w")
@@ -95,60 +95,43 @@ def select_component(agg: AggregatedInput, j: int) -> PublicInput:
 
 
 def canonical_bytes(agg: AggregatedInput) -> bytes:
-    # A packs one slot at a time, never as one K*m*l-byte array; the bits
-    # past a slot's last whole byte carry over to the front of the next
-    chunks = [DOMAIN_TAG + _HEAD.pack(agg.K, agg.m, agg.l, agg.w)]
-    carry = np.zeros(0, dtype=np.uint8)
-    for p in agg.parts:
-        bits = np.concatenate([carry, p.A.array.ravel()]) if carry.size else p.A.array.ravel()
-        cut = bits.size - bits.size % 8
-        chunks.append(np.packbits(bits[:cut]).tobytes())
-        carry = bits[cut:]
-    chunks.append(np.packbits(carry).tobytes())
-    chunks.append(np.packbits(np.concatenate([p.y.bits for p in agg.parts])).tobytes())
-    return b"".join(chunks)
-
-
-def _unpack_block(raw: memoryview, n: int, what: str) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    if bits[n:].any():
-        raise ValueError(f"nonzero padding bits after the {what} block")
-    return bits[:n]
+    return b"".join([DOMAIN_TAG, _HEAD.pack(agg.K, agg.m, agg.l, agg.w),
+                     *(p.seed for p in agg.parts),
+                     np.packbits(np.concatenate([p.y.bits for p in agg.parts])).tobytes()])
 
 
 def from_canonical_bytes(data) -> AggregatedInput:
     """Inverse of canonical_bytes: ValueError on a wrong tag or length, K = 0
     (through aggregate), m <= l, l = 0, w > m // 2 (the most any tau < 1/2
-    rounds to) or a set padding bit.  Slots are views into one unpacked block."""
+    rounds to) or a set padding bit.  Slots are views into one unpacked y block."""
     view = memoryview(data)
     start = len(DOMAIN_TAG) + _HEAD.size
     if len(view) < start:
         raise ValueError("truncated statement header")
     if view[:len(DOMAIN_TAG)] != DOMAIN_TAG:
-        raise ValueError("not a FEDZKP-H2 statement")
+        raise ValueError("not a FEDZKP-H3 statement")
     K, m, l, w = _HEAD.unpack(view[len(DOMAIN_TAG):start])
     if not 0 < l < m:
         raise ValueError(f"need m > l > 0, got m={m}, l={l}")
     if w > m // 2:
         raise ValueError(f"weight {w} exceeds m // 2 = {m // 2}")
-    a_end = start + (K * m * l + 7) // 8
-    size = a_end + (K * m + 7) // 8
+    y_start = start + K * SEED_BYTES
+    size = y_start + (K * m + 7) // 8
     if len(view) != size:
-        raise ValueError(f"statement of K={K}, m={m}, l={l} takes {size} bytes, got {len(view)}")
-    A = _unpack_block(view[start:a_end], K * m * l, "A").reshape(K, m, l)
-    y = _unpack_block(view[a_end:], K * m, "y").reshape(K, m)
-    return aggregate(PublicInput(BitMatrix._wrap(a), BitVec._wrap(v), w) for a, v in zip(A, y))
+        raise ValueError(f"statement of K={K}, m={m} takes {size} bytes, got {len(view)}")
+    bits = np.unpackbits(np.frombuffer(view[y_start:], dtype=np.uint8))
+    if bits[K * m:].any():
+        raise ValueError("nonzero padding bits after the y block")
+    seeds = bytes(view[start:y_start])
+    return aggregate(PublicInput(seeds[SEED_BYTES * j:SEED_BYTES * (j + 1)], l, BitVec._wrap(y), w)
+                     for j, y in enumerate(bits[:K * m].reshape(K, m)))
 
 
-def hash_watermark(agg: AggregatedInput, n: int = DEFAULT_WATERMARK_BITS,
-                   statement=None) -> HashWatermark:
-    """n-bit SHAKE-256 digest of the canonical aggregate serialization,
-    hashed as given in `statement` when a parser has just accepted it."""
+def hash_watermark(agg: AggregatedInput, n: int = DEFAULT_WATERMARK_BITS) -> HashWatermark:
+    """n-bit SHAKE-256 digest of the canonical aggregate serialization."""
     if n < 1:
         raise ValueError("watermark length must be at least 1 bit")
-    if statement is None:
-        statement = canonical_bytes(agg)
-    digest = hashlib.shake_256(statement).digest((n + 7) // 8)
+    digest = hashlib.shake_256(canonical_bytes(agg)).digest((n + 7) // 8)
     full = np.unpackbits(np.frombuffer(digest, dtype=np.uint8), count=n)
     return HashWatermark(BitVec(full), n)
 
@@ -157,7 +140,7 @@ def client_check(h: HashWatermark, agg: AggregatedInput, own: PublicInput, K: in
     """Client-side audit of the server's published watermark.
 
     Verifies, in order: the hash really is the hash of the published
-    aggregate, the client's own input appears in it with its A, y and w,
+    aggregate, the client's own input appears in it with its seed, y and w,
     and the aggregate holds exactly the K client inputs (no server
     additions or omissions).
     """

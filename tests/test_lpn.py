@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedzkp.gf2 import mat_vec_mul
-from fedzkp.lpn import XlpnParams, exact_weight, gen_instance
+from fedzkp import lpn
+from fedzkp.gf2 import BitMatrix, mat_vec_mul
+from fedzkp.lpn import PublicInput, XlpnParams, exact_weight, expand_matrix, gen_instance
 
 
 def test_weight_rounds_half_up():
@@ -66,35 +67,71 @@ def test_defaults_round_trip_validate():
     assert pub.y == mat_vec_mul(pub.A, cred.s) ^ cred.e
 
 
-def test_rank_resample_limit_errors():
-    class ZeroRng:
-        # quacks just enough like a Generator to drive sampling
-        def integers(self, low, high=None, size=None, dtype=np.int64):
-            return np.zeros(size, dtype=dtype)
-
+def test_rank_resample_limit_errors(monkeypatch):
+    # every seed names a rank-deficient matrix: keygen gives up after the limit
+    seeds = []
+    monkeypatch.setattr(lpn, "expand_matrix",
+                        lambda seed, m, l: seeds.append(seed) or BitMatrix(np.zeros((m, l))))
     params = XlpnParams(m=8, l=4, tau=Fraction(1, 4))
     with pytest.raises(RuntimeError):
-        gen_instance(params, ZeroRng())
+        gen_instance(params, np.random.default_rng(2))
+    assert len(set(seeds)) == len(seeds) == lpn.MAX_RANK_RESAMPLES
 
 
-# SHAKE-256 over A, y, s and e of `count` seeded keys, then 16 more bytes of
-# the generator, frozen from an earlier release of keygen.  A change means
-# the keys, or how many draws rank rejection took, moved.  At 33x32 a random
-# A is often rank deficient: the 8 keys there take 15 draws of A.
+# expand_matrix(bytes(range(32)), 8, 4), frozen once: 32 bits, row-major
+GOLDEN_EXPANSION = "22b38e1c"
+
+
+def test_seed_expansion_golden_vector_and_independent_oracle():
+    seed = bytes(range(32))
+    A = expand_matrix(seed, 8, 4)
+    assert A.to_bytes().hex() == GOLDEN_EXPANSION
+    for m, l in ((8, 4), (13, 5), (9, 8)):
+        # oracle: the SHAKE-256 stream read bit by bit, no numpy unpacking
+        stream = hashlib.shake_256(b"FEDZKP-A1" + m.to_bytes(4, "little")
+                                   + l.to_bytes(4, "little") + seed).digest((m * l + 7) // 8)
+        bits = [stream[i // 8] >> (7 - i % 8) & 1 for i in range(m * l)]
+        assert expand_matrix(seed, m, l).array.tolist() == [bits[r * l:(r + 1) * l]
+                                                             for r in range(m)]
+    # m and l are both bound: another shape is another stream, not a reshape
+    assert expand_matrix(seed, 4, 8).to_bytes() != A.to_bytes()
+    assert expand_matrix(seed, 8, 5).to_bytes()[:4] != A.to_bytes()
+
+
+def test_a_public_input_expands_its_matrix_once_and_compares_without_it():
+    rng = np.random.default_rng(3)
+    params = XlpnParams(m=12, l=8, tau=Fraction(1, 4))
+    pub, cred = gen_instance(params, rng)
+    twin = PublicInput(pub.seed, pub.l, pub.y, pub.w)
+    assert twin == pub and hash(twin) == hash(pub) and "A" not in vars(twin)
+    assert twin.A is twin.A and twin.A == expand_matrix(pub.seed, 12, 8)
+    assert len(pub.seed) == lpn.SEED_BYTES
+
+
+# SHAKE-256 over seed, A, y, s and e of `count` seeded keys, then 16 more
+# bytes of the generator, frozen from an earlier release of keygen, and how
+# many seeds keygen drew.  A change means the keys, or how many draws rank
+# rejection took, moved.  At 33x32 a random A is often rank deficient.
 KEYGEN_PINS = [
-    ((48, 32, 1), "0865e592aac55151473c89cf635899e8"),
-    ((800, 700, 1), "19c478b036c3c82e1f053a790a509482"),
-    ((33, 32, 8), "f0b42ee04789c010432f3dc2143f0e6e"),
+    ((48, 32, 1), 1, "9895f8c51de4d3964e6fbb6cfb55c2bd"),
+    ((800, 700, 1), 1, "d36c6f024198279fcb55047b8c7eb179"),
+    ((33, 32, 8), 16, "b091a769bf2c041bd987b397c08c5fc9"),
 ]
 
 
-@pytest.mark.parametrize("size, pin", KEYGEN_PINS)
-def test_seeded_keygen_output_is_pinned(size, pin):
+@pytest.mark.parametrize("size, draws, pin", KEYGEN_PINS)
+def test_seeded_keygen_output_is_pinned(size, draws, pin, monkeypatch):
     m, l, count = size
+    seeds = []
+    expand = lpn.expand_matrix
+    monkeypatch.setattr(lpn, "expand_matrix",
+                        lambda seed, m, l: seeds.append(seed) or expand(seed, m, l))
     rng = np.random.default_rng(0)
+    keys = [gen_instance(XlpnParams(m, l, Fraction(1, 4)), rng) for _ in range(count)]
+    drawn = len(seeds)
     h = hashlib.shake_256()
-    for _ in range(count):
-        pub, cred = gen_instance(XlpnParams(m, l, Fraction(1, 4)), rng)
-        h.update(pub.A.to_bytes() + pub.y.to_bytes() + cred.s.to_bytes() + cred.e.to_bytes())
+    for pub, cred in keys:
+        h.update(pub.seed + pub.A.to_bytes() + pub.y.to_bytes()
+                 + cred.s.to_bytes() + cred.e.to_bytes())
     h.update(rng.bytes(16))
-    assert h.hexdigest(16) == pin
+    assert (drawn, h.hexdigest(16)) == (draws, pin)

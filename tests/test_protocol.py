@@ -5,13 +5,14 @@ import socket
 import struct
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fedzkp import protocol, watermark
+from fedzkp import lpn, protocol
 from fedzkp.commitments import Commitment
 from fedzkp.gf2 import BitMatrix, BitVec, mat_vec_mul
 from fedzkp.lpn import Credential, XlpnParams, gen_instance
@@ -27,8 +28,10 @@ from fedzkp.protocol import (
     run_verifier_endpoint,
 )
 from fedzkp.sigma import Challenge, RoundMessage1, simulate_round
-from fedzkp.storage import load_aggregate, save_aggregate, save_public_input
-from fedzkp.watermark import aggregate, canonical_bytes, hash_watermark, select_component
+from fedzkp.storage import (KIND_AGGREGATE, MAGIC, load_aggregate, save_aggregate,
+                            save_public_input)
+from fedzkp.watermark import (DOMAIN_TAG, aggregate, canonical_bytes, hash_watermark,
+                              select_component)
 
 PARAMS = XlpnParams(m=48, l=32, tau=Fraction(1, 4))
 N_BITS = 64
@@ -47,7 +50,7 @@ def make_world(seed=0, K=3, params=PARAMS):
 
 
 def relabel(agg, w):
-    """agg's A and y under the weight w: the same bits, another statement."""
+    """agg's seeds and y under the weight w: the same bits, another statement."""
     return aggregate([replace(p, w=w) for p in agg.parts])
 
 
@@ -177,9 +180,10 @@ def test_agg_input_carries_the_aggregate_file_bytes(tmp_path):
     doc = encode_aggregate(agg)
     blob = (tmp_path / "aggregate.bin").read_bytes()
     assert bytes.fromhex(doc["aggregate"]) == blob and doc["digest"] == shake(blob)
-    digest, back, statement = decode_aggregate(doc)
-    assert digest.hex() == doc["digest"] and bytes(statement) == canonical_bytes(agg)
+    digest, back = decode_aggregate(doc)
+    assert digest.hex() == doc["digest"] and blob[8:] == canonical_bytes(agg)
     assert back == agg and hash_watermark(back, N_BITS) == wm
+    assert len(blob) == 8 + 25 + 3 * (32 + PARAMS.m // 8)
 
 
 class TestVerifierRejectsBadWire:
@@ -578,7 +582,7 @@ class TestWireForgeries:
         rng, pairs, agg, wm = make_world(seed=0)
         cred = lightest_opening(agg.parts[1], rng)
         w = cred.e.weight()
-        assert (w, PARAMS.w) == (19, 12)
+        assert (w, PARAMS.w) == (16, 12)
         forged = relabel(agg, w)
         genuine, sent = encode_aggregate(agg)["aggregate"], encode_aggregate(forged)["aggregate"]
         at = 2 * (HEADER_BYTES - 4)  # the hex of the header's w field
@@ -849,8 +853,8 @@ class TestBoundedReads:
         assert json.loads(replies[0])["message"] == "line too long"
 
 
-HEADER_BYTES = 8 + 9 + 16  # magic and kind, the FEDZKP-H2 tag, (K, m, l, w)
-ODD = XlpnParams(m=50, l=33, tau=Fraction(1, 4))  # both bit blocks end in padding
+HEADER_BYTES = 8 + 9 + 16  # magic and kind, the FEDZKP-H3 tag, (K, m, l, w)
+ODD = XlpnParams(m=50, l=33, tau=Fraction(1, 4))  # three y's end in padding
 
 
 def _patch(blob, at, raw):
@@ -862,12 +866,10 @@ def _field(blob, k, value):
     return _patch(blob, HEADER_BYTES - 16 + 4 * k, struct.pack("<I", value))
 
 
-def _padding_bit(blob, block):
+def _padding_bit(blob):
     """`blob`, an ODD aggregate of 3 clients, with the last padding bit of
-    the A or the y block set."""
-    a_end = HEADER_BYTES + (3 * ODD.m * ODD.l + 7) // 8
-    at = a_end - 1 if block == "A" else len(blob) - 1
-    return _patch(blob, at, bytes([blob[at] | 1]))
+    the y block set."""
+    return blob[:-1] + bytes([blob[-1] | 1])
 
 
 # AGG_INPUT payloads built from the genuine aggregate's bytes, a
@@ -882,8 +884,7 @@ MALFORMED = {
     "m_not_above_l": lambda blob, public, odd:
         _field(_field(blob, 1, PARAMS.l), 2, PARAMS.m)[:-6].hex(),
     "w_above_half_m": lambda blob, public, odd: _field(blob, 3, PARAMS.m // 2 + 1).hex(),
-    "a_padding_bit": lambda blob, public, odd: _padding_bit(odd, "A").hex(),
-    "y_padding_bit": lambda blob, public, odd: _padding_bit(odd, "y").hex(),
+    "y_padding_bit": lambda blob, public, odd: _padding_bit(odd).hex(),
     "public_input_kind": lambda blob, public, odd: public.hex(),
     "number": lambda blob, public, odd: 17,
     "list": lambda blob, public, odd: [blob.hex()],
@@ -961,14 +962,17 @@ class TestAggregateMemo:
         assert self.session().accepted and self.session(seed=34).accepted
         assert self.calls == {"decode": 1, "hash": 1, "basis": 1, "reduced": 1}
 
-    def test_a_miss_hashes_the_statement_bytes_it_parsed(self, monkeypatch):
-        rebuilt = []
-        rebuild = watermark.canonical_bytes
-        monkeypatch.setattr(watermark, "canonical_bytes",
-                            lambda agg: rebuilt.append(agg) or rebuild(agg))
-        assert self.session().accepted
-        assert self.calls["hash"] == 1 and rebuilt == []
-        assert protocol._last_valid[2] == self.wm
+    def test_a_miss_expands_only_the_claimed_slot_after_validity(self, monkeypatch):
+        expanded = []
+        expand = lpn.expand_matrix
+        monkeypatch.setattr(lpn, "expand_matrix",
+                            lambda seed, m, l: expanded.append(seed) or expand(seed, m, l))
+        v, out = self.feed_aggregate(encode_aggregate(self.agg))
+        assert out[0]["type"] == "VALIDITY_RESULT" and out[0]["accepted"]
+        assert expanded == [] and protocol._last_valid[2] == self.wm
+        assert self.session(client=1).accepted
+        # once for the prover's own copy of slot 1, once for the verifier's
+        assert expanded == [self.agg.parts[1].seed] * 2
 
     def test_two_taus_that_round_to_one_weight_share_the_entry(self, tmp_path):
         # 1/4 and 6/25 both give w = 12 at m = 48: one statement, one file, one digest
@@ -1010,7 +1014,7 @@ class TestAggregateMemo:
         assert self.session().accepted
         entry = protocol._last_valid
         text = encode_aggregate(self.agg)["aggregate"]
-        doc = {"aggregate": flip_hex(text, 2 * HEADER_BYTES)}  # part 0's A
+        doc = {"aggregate": flip_hex(text, 2 * HEADER_BYTES)}  # part 0's seed
         v, out = self.feed_aggregate(doc)
         assert out[0]["type"] == "VALIDITY_RESULT" and not out[0]["accepted"]
         assert v.done and not v.accepted
@@ -1073,7 +1077,7 @@ class TestAggregateMemo:
     def test_bytes_unlike_the_digest_are_rejected(self, warm):
         genuine = encode_aggregate(self.agg)
         third = encode_aggregate(relabel(self.agg, THIRD.w))
-        # the same A and y relabelled to another w: only the header differs
+        # the same seeds and y relabelled to another w: only the header differs
         head = 2 * HEADER_BYTES
         assert third["aggregate"][:head] != genuine["aggregate"][:head]
         assert third["aggregate"][head:] == genuine["aggregate"][head:]
@@ -1166,14 +1170,43 @@ class TestAggregateMemo:
         assert types(lines).count("AGG_INPUT") == 1
 
 
+def test_a_statement_beyond_memory_is_refused_without_expanding_a_matrix(monkeypatch):
+    # K=1, m=2^20, l=m-1: A would be 2^40 bits, its y block is 128 KiB
+    monkeypatch.setattr(protocol, "_last_valid", None)
+    _, _, _, wm = make_world(seed=40)
+    expanded = []
+
+    def guard(seed, m, l):
+        expanded.append((m, l))
+        raise MemoryError(f"expanded a {m} x {l} matrix")  # never allocate it here
+
+    monkeypatch.setattr(lpn, "expand_matrix", guard)
+    m = 1 << 20
+    blob = (MAGIC + bytes([KIND_AGGREGATE]) + DOMAIN_TAG
+            + struct.pack("<IIII", 1, m, m - 1, m // 4) + bytes(32) + bytes(m // 8))
+    v = VerifierSession(wm.h, ERR_N, d=4, rng=np.random.default_rng(41), l_com=L_COM)
+    tracemalloc.start()
+    try:
+        assert types(v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": 0, "client": 0,
+                                        "rounds": 4, "digest": shake(blob)}))) == ["AGG_REQUEST"]
+        out = v.feed(json.dumps({"type": "AGG_INPUT", "session": "s", "seq": 1,
+                                 "aggregate": blob.hex()}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert types(out) == ["VALIDITY_RESULT", "SESSION_RESULT"]
+    assert not json.loads(out[0])["accepted"] and v.done and not v.accepted
+    assert expanded == [] and protocol._last_valid is None
+    assert peak < 8 * m  # a few copies of the unpacked y, not the matrix's 2^40 bits
+
+
 class TestAggregateInputLine:
-    """The prover takes HELLO's digest and AGG_INPUT's hex from one cached encoding;
-    the AGG_INPUT line is what encoding the whole message gives."""
+    """The prover takes HELLO's digest and AGG_INPUT's hex from one encoding per
+    session; the AGG_INPUT line is what encoding the whole message gives."""
 
     @pytest.fixture(autouse=True)
     def spy(self, monkeypatch):
         self.rng, self.pairs, self.agg, self.wm = make_world(seed=31)
-        monkeypatch.setattr(protocol, "_last_sent", None)
         self.encodes = 0
 
         def counted(agg):
@@ -1200,14 +1233,7 @@ class TestAggregateInputLine:
             assert line == protocol._encode({
                 "type": "AGG_INPUT", "session": prover.session_id, "seq": 1,
                 "aggregate": encode_aggregate(self.agg)["aggregate"]})
-        assert self.encodes == 1
-
-    def test_equal_params_reuse_the_entry(self):
-        # the entry is keyed on the aggregate alone, so any params reuse it
-        self.agg_line(self.agg, PARAMS)
-        self.agg_line(self.agg, XlpnParams(m=PARAMS.m, l=PARAMS.l, tau=PARAMS.tau))
-        self.agg_line(self.agg, SAME_W)
-        assert self.encodes == 1
+        assert self.encodes == 2
 
     def test_no_stale_bytes_across_aggregates_or_tau(self):
         _, other_pairs, other, _ = make_world(seed=32)

@@ -320,16 +320,19 @@ def test_extractor_recovers_credential():
 
 
 def test_extractor_on_identity_block_matrix():
-    # A = [I; 0]: solving is plain XOR reading, recovery must still be exact
+    # A = [I; 0]: solving is plain XOR reading, recovery must still be exact.
+    # No seed names this A; sigma reads only a statement's A, y and w.
     rng = np.random.default_rng(15)
     A_rows = np.vstack([np.eye(4, dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8)])
+    from types import SimpleNamespace
+
     from fedzkp.gf2 import BitMatrix
-    from fedzkp.lpn import Credential, PublicInput
+    from fedzkp.lpn import Credential
 
     A = BitMatrix(A_rows)
     s = BitVec([1, 0, 1, 1])
     e = BitVec([0, 1, 0, 0, 1, 0])
-    pub = PublicInput(A, mat_vec_mul(A, s) ^ e, e.weight())
+    pub = SimpleNamespace(A=A, y=mat_vec_mul(A, s) ^ e, w=e.weight())
     cred = Credential(s, e)
     tr0, tr1, tr2 = triple(pub, cred, rng)
     s_out, e_out = extract_witness(pub, tr0, tr1, tr2)

@@ -8,8 +8,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fedzkp.gf2 import BitMatrix, BitVec  # noqa: E402
-from fedzkp.lpn import PublicInput, XlpnParams, gen_instance  # noqa: E402
+from fedzkp.gf2 import BitVec  # noqa: E402
+from fedzkp.lpn import SEED_BYTES, PublicInput, XlpnParams, gen_instance  # noqa: E402
 from fedzkp.watermark import (  # noqa: E402
     DOMAIN_TAG,
     aggregate,
@@ -17,26 +17,29 @@ from fedzkp.watermark import (  # noqa: E402
     from_canonical_bytes,
 )
 
-ODD = XlpnParams(m=50, l=33, tau=Fraction(1, 4))  # m*l and m not multiples of 8
+ODD = XlpnParams(m=50, l=33, tau=Fraction(1, 4))  # 3*m not a multiple of 8
 
 
-def statement(K, m, l, w, a=None, y=None, tag=DOMAIN_TAG):
-    """Hand-built canonical bytes; zero bit blocks of the right size by default."""
-    a = bytes((K * m * l + 7) // 8) if a is None else a
+def statement(K, m, l, w, seeds=None, y=None, tag=DOMAIN_TAG):
+    """Hand-built canonical bytes; zero seeds and y bits by default."""
+    seeds = bytes(K * SEED_BYTES) if seeds is None else seeds
     y = bytes((K * m + 7) // 8) if y is None else y
-    return tag + struct.pack("<IIII", K, m, l, w) + a + y
+    return tag + struct.pack("<IIII", K, m, l, w) + seeds + y
 
 
 def test_round_trip_with_padding_in_both_blocks():
     rng = np.random.default_rng(11)
     agg = aggregate([gen_instance(ODD, rng)[0] for _ in range(3)])
-    assert (3 * ODD.m * ODD.l) % 8 and (3 * ODD.m) % 8
+    assert (3 * ODD.m) % 8
     blob = canonical_bytes(agg)
+    assert len(blob) == len(DOMAIN_TAG) + 16 + 3 * SEED_BYTES + (3 * ODD.m + 7) // 8
     back = from_canonical_bytes(blob)
     assert back == agg and back.w == ODD.w and canonical_bytes(back) == blob
-    # every slot is a view into one unpacked A block, not a copy of its own
-    owner = back.parts[0].A.array.base
-    assert owner is not None and all(p.A.array.base is owner for p in back.parts)
+    # every slot is a view into one unpacked y block, and no matrix is expanded
+    owner = back.parts[0].y.bits.base
+    assert owner is not None and all(p.y.bits.base is owner for p in back.parts)
+    assert not any("A" in vars(p) for p in back.parts)
+    assert [p.A for p in back.parts] == [p.A for p in agg.parts]
 
 
 def test_the_largest_weight_is_m_over_two():
@@ -51,7 +54,8 @@ def _set_last_bit(blob, at):
 
 # (case, bytes, what the error names)
 REFUSED = [
-    ("bad_tag", statement(1, 8, 4, 2, tag=b"FEDZKP-H1"), "FEDZKP-H2"),
+    ("bad_tag", statement(1, 8, 4, 2, tag=b"FEDZKP-H1"), "FEDZKP-H3"),
+    ("matrix_statement", statement(1, 8, 4, 2, seeds=bytes(4), tag=b"FEDZKP-H2"), "FEDZKP-H3"),
     ("short_header", statement(1, 8, 4, 2)[:20], "truncated"),
     ("no_clients", statement(0, 8, 4, 2), "client input"),
     ("m_equals_l", statement(1, 8, 8, 2), "m > l"),
@@ -60,7 +64,6 @@ REFUSED = [
     ("weight_above_half_m", statement(1, 9, 4, 5), "weight"),
     ("short", statement(1, 8, 4, 2)[:-1], "bytes"),
     ("trailing", statement(1, 8, 4, 2) + b"\x00", "bytes"),
-    ("a_padding_bit", _set_last_bit(statement(1, 9, 3, 2), len(DOMAIN_TAG) + 16 + 3), "A block"),
     ("y_padding_bit", _set_last_bit(statement(1, 9, 3, 2), -1), "y block"),
 ]
 
@@ -84,13 +87,12 @@ def near_statements(draw):
     K, l = draw(st.integers(0, 3)), draw(st.integers(0, 8))
     m = max(0, l + draw(st.integers(-1, 6)))
     w = draw(st.integers(0, m // 2 + 1))
-    a_bits, y_bits = K * m * l, K * m
-    a = draw(st.binary(min_size=(a_bits + 7) // 8, max_size=(a_bits + 7) // 8))
-    y = draw(st.binary(min_size=(y_bits + 7) // 8, max_size=(y_bits + 7) // 8))
+    seeds = draw(st.binary(min_size=K * SEED_BYTES, max_size=K * SEED_BYTES))
+    y = draw(st.binary(min_size=(K * m + 7) // 8, max_size=(K * m + 7) // 8))
     if draw(st.booleans()):
-        a, y = _clear_padding(a, a_bits), _clear_padding(y, y_bits)
-    body = a + y
-    tag = draw(st.sampled_from([DOMAIN_TAG] * 5 + [b"FEDZKP-H1"]))
+        y = _clear_padding(y, K * m)
+    body = seeds + y
+    tag = draw(st.sampled_from([DOMAIN_TAG] * 5 + [b"FEDZKP-H2"]))
     blob = tag + struct.pack("<IIII", K, m, l, w) + body
     return draw(st.sampled_from([blob, blob, blob, blob[:-1], blob + b"\x00"]))
 
@@ -108,13 +110,16 @@ def test_each_statement_has_exactly_one_encoding(blob):
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(K=st.integers(1, 5), m=st.integers(2, 40), data=st.data())
 def test_canonical_bytes_are_one_packing_of_each_concatenated_block(K, m, data):
-    # the writer packs slot by slot; the oracle concatenates every slot first
+    # the seeds back to back, then every y as one bit string packed once;
+    # the oracle packs by hand, bit by bit
     l = data.draw(st.integers(1, m - 1), label="l")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    parts = [PublicInput(BitMatrix.random(m, l, rng), BitVec.random(m, rng), m // 2)
+    parts = [PublicInput(rng.bytes(SEED_BYTES), l, BitVec.random(m, rng), m // 2)
              for _ in range(K)]
+    bits = "".join(str(b) for p in parts for b in p.y.bits)
+    bits += "0" * (-len(bits) % 8)
     oracle = (DOMAIN_TAG + struct.pack("<IIII", K, m, l, m // 2)
-              + np.packbits(np.concatenate([p.A.array.ravel() for p in parts])).tobytes()
-              + np.packbits(np.concatenate([p.y.bits for p in parts])).tobytes())
+              + b"".join(p.seed for p in parts)
+              + bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8)))
     assert canonical_bytes(aggregate(parts)) == oracle
 

@@ -36,7 +36,7 @@ from fedzkp.watermark import aggregate, canonical_bytes, hash_watermark
 
 PARAMS = XlpnParams(m=48, l=32, tau=Fraction(1, 4))
 SIZES = (PARAMS.m, PARAMS.l, PARAMS.w)  # what a loader reports beside the object
-HEAD = 8 + 9  # magic and kind byte, then the FEDZKP-H2 tag of a statement file
+HEAD = 8 + 9  # magic and kind byte, then the FEDZKP-H3 tag of a statement file
 
 
 @pytest.fixture
@@ -239,6 +239,19 @@ class TestParameterHeaders:
         path = tmp_path / "old.bin"
         path.write_bytes(MAGIC + bytes([old_kind])
                          + struct.pack("<IIQQI", PARAMS.m, PARAMS.l, 1, 4, PARAMS.w) + body)
+        with pytest.raises(ValueError, match=f"wrong file kind {old_kind}, expected"):
+            WRITERS[kind][1](path)
+
+    @pytest.mark.parametrize("kind", ["public_input", "aggregate"])
+    def test_a_statement_that_carries_its_matrices_is_refused_by_kind(self, tmp_path, rng, kind):
+        # the layout before seeds: kinds 6 and 7, then "FEDZKP-H2", (K, m, l, w),
+        # every A bit and every y bit
+        pub, _ = gen_instance(PARAMS, rng)
+        old_kind = {"public_input": 6, "aggregate": 7}[kind]
+        path = tmp_path / "old.bin"
+        path.write_bytes(MAGIC + bytes([old_kind]) + b"FEDZKP-H2"
+                         + struct.pack("<IIII", 1, PARAMS.m, PARAMS.l, PARAMS.w)
+                         + pub.A.to_bytes() + pub.y.to_bytes())
         with pytest.raises(ValueError, match=f"wrong file kind {old_kind}, expected"):
             WRITERS[kind][1](path)
 

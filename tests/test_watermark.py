@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedzkp.gf2 import BitMatrix, BitVec
-from fedzkp.lpn import PublicInput, XlpnParams, gen_instance
+from fedzkp.gf2 import BitVec
+from fedzkp.lpn import SEED_BYTES, PublicInput, XlpnParams, gen_instance
 from fedzkp.watermark import (
     aggregate,
     canonical_bytes,
@@ -16,28 +16,28 @@ from fedzkp.watermark import (
     validity,
 )
 
-GOLDEN_ZERO_64 = "4eb5fb38bc736b25"  # frozen once from a reference SHAKE-256 run
+GOLDEN_ZERO_64 = "dad86bfed69f4191"  # frozen once from a reference SHAKE-256 run
 
 
 def random_parts(k, m, l, seed):
     rng = np.random.default_rng(seed)
-    return [PublicInput(BitMatrix.random(m, l, rng), BitVec.random(m, rng), m // 4)
+    return [PublicInput(rng.bytes(SEED_BYTES), l, BitVec.random(m, rng), m // 4)
             for _ in range(k)]
 
 
 def test_golden_vector_and_independent_oracle():
-    zero = PublicInput(BitMatrix(np.zeros((8, 4), dtype=np.uint8)), BitVec.zeros(8), 2)
+    zero = PublicInput(bytes(SEED_BYTES), 4, BitVec.zeros(8), 2)
     agg = aggregate([zero])
     h = hash_watermark(agg, 64)
     assert h.h.to_bytes().hex() == GOLDEN_ZERO_64
     # oracle: rebuild the canonical bytes by hand and hash directly
     payload = (
-        b"FEDZKP-H2"
+        b"FEDZKP-H3"
         + (1).to_bytes(4, "little")
         + (8).to_bytes(4, "little")
         + (4).to_bytes(4, "little")
         + (2).to_bytes(4, "little")
-        + bytes(4)
+        + bytes(32)
         + bytes(1)
     )
     assert canonical_bytes(agg) == payload
@@ -75,14 +75,16 @@ def test_aggregate_validation_and_selection():
         aggregate(p + random_parts(1, 12, 7, 2))
     with pytest.raises(ValueError, match="weight"):
         aggregate(p[:2] + [replace(p[2], w=p[2].w + 1)])
+    # every seed is 32 bytes, so the seed block's length follows from K
+    with pytest.raises(ValueError, match="dimensions"):
+        aggregate(p[:2] + [replace(p[2], seed=p[2].seed[:-1])])
 
 
 def test_serialized_sizes_at_reference_parameters():
-    # A block must be exactly K*m*l bits with padding only at the block end
+    # a 32-byte seed per slot in place of its m*l matrix bits, then K*m y bits
     p = random_parts(10, 800, 700, 3)
     blob = canonical_bytes(aggregate(p))
-    assert 10 * 800 * 700 == 5_600_000
-    assert len(blob) == 25 + 5_600_000 // 8 + 10 * 800 // 8
+    assert len(blob) == 25 + 10 * 32 + 10 * 800 // 8 == 1_345
 
 
 def test_avalanche():
@@ -94,9 +96,9 @@ def test_avalanche():
     for _ in range(1000):
         q = list(p)
         j = int(rng.integers(0, 2))
-        arr = q[j].A.array.copy()
-        arr[rng.integers(0, 16), rng.integers(0, 8)] ^= 1
-        q[j] = replace(q[j], A=BitMatrix(arr))
+        seed = bytearray(q[j].seed)
+        seed[rng.integers(0, SEED_BYTES)] ^= 1 << int(rng.integers(0, 8))
+        q[j] = replace(q[j], seed=bytes(seed))
         dists.append(np.count_nonzero(hash_watermark(aggregate(q), n).h.bits != base.h.bits))
     mean = float(np.mean(dists))
     assert 0.45 * n < mean < 0.55 * n
@@ -126,7 +128,7 @@ def test_client_check_reasons():
 
 
 def test_client_check_covers_the_weight():
-    # the server publishes every client's A and y, but under another w,
+    # the server publishes every client's seed and y, but under another w,
     # with the hash it computed itself: the client's own statement is not in it
     params = XlpnParams(m=12, l=8, tau=Fraction(1, 4))
     rng = np.random.default_rng(6)
@@ -171,11 +173,11 @@ def test_random_aggregate_never_near_collides():
     n, err_n = 128, 3
     h_x = hash_watermark(true_agg, n)
     target = int.from_bytes(h_x.h.to_bytes(), "big")
-    header = b"FEDZKP-H2" + b"".join(x.to_bytes(4, "little") for x in (1, 8, 4, 2))
+    header = b"FEDZKP-H3" + b"".join(x.to_bytes(4, "little") for x in (1, 8, 4, 2))
     hits = 0
     samples = []
     for i in range(1_000_000):
-        body = rng.bytes(5)  # 32 A bits + 8 y bits, both byte-aligned here
+        body = rng.bytes(33)  # a 32-byte seed + 8 y bits
         digest = hashlib.shake_256(header + body).digest(16)
         dist = (int.from_bytes(digest, "big") ^ target).bit_count()
         hits += dist < err_n
@@ -184,7 +186,6 @@ def test_random_aggregate_never_near_collides():
     assert hits == 0
     # spot-check that the fast loop above agrees with validity itself
     for body, dist in samples:
-        A = BitMatrix.from_bytes(body[:4], 8, 4)
-        y = BitVec.from_bytes(body[4:], 8)
-        forged = hash_watermark(aggregate([PublicInput(A, y, 2)]), n)
+        y = BitVec.from_bytes(body[32:], 8)
+        forged = hash_watermark(aggregate([PublicInput(body[:32], 4, y, 2)]), n)
         assert validity(h_x.h, forged, err_n) == (dist < err_n, dist)
