@@ -13,10 +13,11 @@ pivot, the columns that XOR to its reduced vector.  b is in the image
 iff every row of H meets it in an even number of bits.
 
 Serialization convention used by every module downstream: bits pack 8 per
-byte, most significant bit first within each byte; a matrix serializes
-row-major as one continuous bit stream, and a permutation as its indices
-of ceil(log2 m) bits each, both zero-padded to a byte boundary at the
-end.  Length headers, when a format needs them, are the caller's job.
+byte, most significant bit first within each byte; a permutation
+serializes as its indices of ceil(log2 m) bits each, zero-padded to a
+byte boundary at the end.  A matrix has no byte form: a statement names
+its matrix by a seed (lpn).  Length headers, when a format needs them,
+are the caller's job.
 
 All values are immutable after construction and safe to share across
 threads.  Nothing here is constant-time; this is research code, not
@@ -165,10 +166,6 @@ class BitMatrix:
         mat._reduced = None
         return mat
 
-    @classmethod
-    def random(cls, m: int, l: int, rng: np.random.Generator) -> "BitMatrix":
-        return cls._wrap(rng.integers(0, 2, size=(m, l), dtype=np.uint8))
-
     @property
     def array(self) -> np.ndarray:
         return self._a
@@ -181,25 +178,8 @@ class BitMatrix:
     def cols(self) -> int:
         return self._a.shape[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return self._a.shape == other._a.shape and bool(np.array_equal(self._a, other._a))
-
-    def __hash__(self) -> int:
-        return hash((self._a.shape, self.to_bytes()))
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
-
-    def to_bytes(self) -> bytes:
-        """Row-major bit stream, MSB-first, padded only at the very end."""
-        return np.packbits(self._a.ravel()).tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, m: int, l: int) -> "BitMatrix":
-        flat = BitVec.from_bytes(data, m * l)
-        return cls._wrap(flat.bits.reshape(m, l).copy())
 
     def rank(self) -> int:
         return len(self._column_basis())

@@ -66,7 +66,7 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -528,10 +528,7 @@ def _run(session: _Session, conn, transcript_path=None, first=()) -> SessionSumm
                 _write_lines(wr, replies)
     except (OSError, TransportError) as exc:
         if not session.done:
-            return SessionSummary(
-                session_id=session.session_id or "?", client=session.client,
-                accepted=False, aborted=True, reason=str(exc),
-                rounds_passed=session.round)
+            return replace(session.summary(), accepted=False, aborted=True, reason=str(exc))
     finally:
         if transcript_path is not None:
             with open(transcript_path, "a") as fh:

@@ -25,10 +25,15 @@ for one committed round pins the credential down: a prover without it can
 prepare for at most two challenges, so a single round has soundness error
 2/3 and d rounds drive it to (2/3)^d.
 
-Also here: the honest-verifier simulator (produces accepting transcripts
-for a chosen challenge with no credential), the witness extractor
-(recovers the credential from three accepting rounds sharing a first
-message), and an explicit cheating prover used by the soundness tests.
+Every prover blinds through one function, _blind.  The honest prover
+blinds its e.  The cheating prover blinds a fake e that fits two of the
+checks: y xor A @ s' for a guessed s' gives up c = 2, and a random
+weight-w vector gives up c = 1, or c = 0 once y is folded into t0 and
+t1, t2 swap.  The honest-verifier simulator is that cheating prover,
+giving up a challenge other than the one it is asked: the two it can
+answer open values distributed exactly as an honest prover's.  The
+witness extractor reads e = pi^-1(t1 xor t2) from three accepting rounds
+sharing a first message, and solves A @ s = y xor e once.
 """
 from __future__ import annotations
 
@@ -114,12 +119,20 @@ def _blob(*values) -> bytes:
     return b"".join(v.to_bytes() for v in values)
 
 
+def _blind(A, e, rng) -> tuple:
+    """The round's (pi, v, f, t0, t1, t2) hiding e, a raw 0/1 array."""
+    m, l = A.array.shape
+    pi = Permutation.random(m, rng)
+    vf = rng.integers(0, 2, size=l + m, dtype=np.uint8)
+    v, f = BitVec._wrap(vf[:l]), BitVec._wrap(vf[l:])
+    t0 = BitVec._wrap(mat_vec_mul(A, v).bits ^ f.bits)
+    return pi, v, f, t0, pi.apply(f), pi.apply(BitVec._wrap(f.bits ^ e))
+
+
 def _commit_round(pi, v, f, t0, t1, t2, rng, l_com) -> tuple[ProverRoundState, RoundMessage1]:
-    # one RNG trip for all three openings; generator calls are not free.
-    # The simulator leaves its unopened slot None, which commits a dummy byte.
+    # one RNG trip for all three openings; generator calls are not free
     (C0, o0), (C1, o1), (C2, o2) = commit_batch(
-        [b"\x00" if vals[-1] is None else _blob(*vals)
-         for vals in _payloads(pi, t0, t1, t2)], rng, l_com)
+        [_blob(*vals) for vals in _payloads(pi, t0, t1, t2)], rng, l_com)
     state = ProverRoundState(pi, v, f, t0, t1, t2, o0.d, o1.d, o2.d)
     return state, RoundMessage1(C0, C1, C2)
 
@@ -139,13 +152,7 @@ def prover_commit(
     # the smaller part of a round, and BitVec operators cost per call
     if (mat_vec_mul(A, cred.s).bits ^ e).tobytes() != pub.y.bits.tobytes():
         raise ValueError("credential does not open the public input")
-    pi = Permutation.random(m, rng)
-    vf = rng.integers(0, 2, size=l + m, dtype=np.uint8)
-    v, f = BitVec._wrap(vf[:l]), BitVec._wrap(vf[l:])
-    t0 = BitVec._wrap(mat_vec_mul(A, v).bits ^ f.bits)
-    t1 = pi.apply(f)
-    t2 = pi.apply(BitVec._wrap(f.bits ^ e))
-    return _commit_round(pi, v, f, t0, t1, t2, rng, l_com)
+    return _commit_round(*_blind(A, e, rng), rng, l_com)
 
 
 def verifier_challenge(rng: np.random.Generator) -> Challenge:
@@ -202,14 +209,12 @@ def cheat_commit(
 ) -> tuple[ProverRoundState, RoundMessage1]:
     """Credential-less prover that sacrifices one challenge.
 
-    Picks values that satisfy the checks for the two challenges other than
-    `unanswerable`; no strategy can cover all three without the witness.
-    The returned state plugs straight into prover_respond.
+    Blinds a fake error vector that satisfies the checks for the two
+    challenges other than `unanswerable`; no strategy can cover all three
+    without the witness.  The returned state plugs straight into
+    prover_respond.
     """
     m, l = pub.A.rows, pub.A.cols
-    pi = Permutation.random(m, rng)
-    v = BitVec.random(l, rng)
-    f = BitVec.random(m, rng)
     if unanswerable == 2:
         # consistent with y via a guessed secret, but the error weight is wrong
         e_fake = pub.y ^ mat_vec_mul(pub.A, BitVec.random(l, rng))
@@ -218,9 +223,7 @@ def cheat_commit(
         e_fake = sample_fixed_weight(m, w, rng)
     else:
         raise ValueError(f"unanswerable must be 0, 1 or 2, got {unanswerable}")
-    t0 = mat_vec_mul(pub.A, v) ^ f
-    t1 = pi.apply(f)
-    t2 = pi.apply(f ^ e_fake)
+    pi, v, f, t0, t1, t2 = _blind(pub.A, e_fake.bits, rng)
     if unanswerable == 0:
         # fold y into t0 and swap t1, t2 so the c=1 algebra closes; c=0 is what breaks
         t0, t1, t2 = t0 ^ pub.y, t2, t1
@@ -235,36 +238,14 @@ def simulate_round(
 ) -> Transcript:
     """Accepting transcript for a known challenge, built without the credential.
 
-    The unopened commitment is a dummy; the opened values are distributed
-    exactly as an honest prover's, which is what makes single rounds
-    zero-knowledge against an honest verifier.
+    The cheating prover that gives up another challenge (2 for c in {0, 1},
+    1 for c = 2) answers this one; what it opens is distributed exactly as
+    an honest prover's, which is what makes single rounds zero-knowledge
+    against an honest verifier.
     """
-    m, l = pub.A.rows, pub.A.cols
-    c = challenge.c
-    pi = t0 = t1 = t2 = None
-    if c == 0:
-        pi = Permutation.random(m, rng)
-        v = BitVec.random(l, rng)
-        f = BitVec.random(m, rng)
-        t0 = mat_vec_mul(pub.A, v) ^ f
-        t1 = pi.apply(f)
-    elif c == 1:
-        pi = Permutation.random(m, rng)
-        a = BitVec.random(m, rng)
-        b = BitVec.random(l, rng)
-        t0 = mat_vec_mul(pub.A, b) ^ pub.y ^ a
-        t2 = pi.apply(a)
-    elif c == 2:
-        a = BitVec.random(m, rng)
-        b = sample_fixed_weight(m, pub.w, rng)
-        t1 = a
-        t2 = a ^ b
-    else:
-        raise ValueError(f"challenge must be 0, 1 or 2, got {c}")
-    state, msg1 = _commit_round(pi, None, None, t0, t1, t2, rng, l_com)
+    state, msg1 = cheat_commit(pub, pub.w, 1 if challenge.c == 2 else 2, rng, l_com)
     resp = prover_respond(state, challenge)
-    accepted = verifier_check_round(pub, msg1, challenge, resp)
-    return Transcript(msg1, challenge, resp, accepted)
+    return Transcript(msg1, challenge, resp, verifier_check_round(pub, msg1, challenge, resp))
 
 
 def extract_witness(
@@ -289,11 +270,9 @@ def extract_witness(
         raise ExtractionError("openings of C0 disagree between challenges 0 and 1")
     if r2.t1 != r0.t1 or r2.t2 != r1.t2:
         raise ExtractionError("openings of C1/C2 disagree across transcripts")
-    pi_inv = r0.pi.inverse()
-    f = pi_inv.apply(r0.t1)
-    e = pi_inv.apply(r0.t1 ^ r1.t2)  # = f xor pi^-1(t2)
-    v = solve_linear(pub.A, r0.t0 ^ f)
-    u = solve_linear(pub.A, r0.t0 ^ pi_inv.apply(r1.t2) ^ pub.y)
-    if v is None or u is None:
-        raise ExtractionError("blinded systems are unsolvable; transcripts not truly accepting")
-    return v ^ u, e
+    # the c = 0 and c = 1 checks XOR to y xor pi^-1(t1 xor t2) in the image of A
+    e = r0.pi.inverse().apply(r0.t1 ^ r1.t2)
+    s = solve_linear(pub.A, pub.y ^ e)
+    if s is None:
+        raise ExtractionError("y xor e is outside the image of A; transcripts not truly accepting")
+    return s, e

@@ -113,21 +113,11 @@ def test_bitvec_immutable():
 
 # ------------------------------------------------------------- BitMatrix
 
-def test_bitmatrix_bytes_roundtrip_bit_level():
-    # 3x3: rows concatenate at the bit level, pad only at the very end
-    M = BitMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 1]])
-    assert M.to_bytes() == bytes([0b10101111, 0b10000000])
-    assert BitMatrix.from_bytes(M.to_bytes(), 3, 3) == M
-    rng = np.random.default_rng(7)
-    N = BitMatrix.random(13, 5, rng)
-    assert BitMatrix.from_bytes(N.to_bytes(), 13, 5) == N
-
-
 def test_bitmatrix_rank_against_oracle():
     rng = np.random.default_rng(11)
     for _ in range(50):
         m, l = int(rng.integers(1, 9)), int(rng.integers(1, 7))
-        M = BitMatrix.random(m, l, rng)
+        M = BitMatrix(rng.integers(0, 2, (m, l), dtype=np.uint8))
         # oracle: rank = log2 of the image size
         assert (1 << M.rank()) == len(image_set(M.array.tolist(), l))
 
@@ -145,7 +135,7 @@ def test_mat_vec_mul_against_oracle():
     rng = np.random.default_rng(3)
     for _ in range(100):
         m, l = int(rng.integers(1, 40)), int(rng.integers(1, 40))
-        A = BitMatrix.random(m, l, rng)
+        A = BitMatrix(rng.integers(0, 2, (m, l), dtype=np.uint8))
         x = BitVec.random(l, rng)
         assert mat_vec_mul(A, x).bits.tolist() == naive_mat_vec(A.array.tolist(), x.bits.tolist())
 
@@ -153,7 +143,7 @@ def test_mat_vec_mul_against_oracle():
 def test_mat_vec_mul_wide_matrix_parity():
     # widths past 256 exercise the mod-256 accumulator wraparound
     rng = np.random.default_rng(5)
-    A = BitMatrix.random(8, 1000, rng)
+    A = BitMatrix(rng.integers(0, 2, (8, 1000), dtype=np.uint8))
     x = BitVec(np.ones(1000, dtype=np.uint8))
     assert mat_vec_mul(A, x).bits.tolist() == [int(s) % 2 for s in A.array.sum(axis=1)]
 
@@ -169,7 +159,7 @@ def test_solve_and_image_exhaustive():
     rng = np.random.default_rng(23)
     for _ in range(60):
         m, l = int(rng.integers(1, 8)), int(rng.integers(1, 6))
-        A = BitMatrix.random(m, l, rng)
+        A = BitMatrix(rng.integers(0, 2, (m, l), dtype=np.uint8))
         img = image_set(A.array.tolist(), l)
         for _ in range(8):
             b = BitVec.random(m, rng)
@@ -302,7 +292,7 @@ def test_rank_and_keygen_never_build_stage_two(monkeypatch):
     monkeypatch.setattr(BitMatrix, "_reduced_basis",
                         lambda self: built.append(self) or stage_two(self))
     rng = np.random.default_rng(41)
-    A = BitMatrix.random(80, 60, rng)
+    A = BitMatrix(rng.integers(0, 2, (80, 60), dtype=np.uint8))
     assert A.rank() == oracle_rank(A.array)
     pub, _ = gen_instance(XlpnParams(m=80, l=60, tau=Fraction(1, 4)), rng)
     assert built == [] and A._reduced is None and pub.A._reduced is None
@@ -324,7 +314,7 @@ def test_solve_full_rank_unique():
     rng = np.random.default_rng(31)
     for _ in range(20):
         while True:
-            A = BitMatrix.random(9, 6, rng)
+            A = BitMatrix(rng.integers(0, 2, (9, 6), dtype=np.uint8))
             if A.rank() == 6:
                 break
         x_true = BitVec.random(6, rng)

@@ -59,6 +59,9 @@ DEEP_NESTING = "[" * 100_000  # RecursionError
 HUGE_SEQ = '{"type":"HELLO","session":"s","seq":' + "9" * 5000 + "}"  # int digit limit
 HOSTILE_LINES = ("this is not json\n", DEEP_NESTING, HUGE_SEQ)
 ZERO_DIGEST = "00" * 32  # hashes no aggregate here, so a verifier always asks for it
+# SHAKE-256 of both sides' lines of one seeded honest session, frozen once:
+# a change means a prover's or a verifier's bytes moved at a fixed seed
+HONEST_SESSION_PIN = "05c4f3d1f1651d78adc32554860d8d47"
 
 
 def shake(blob):
@@ -115,6 +118,23 @@ class TestLoopback:
         assert verifier.done and verifier.accepted
         assert prover.done and prover.accepted
         assert verifier.summary().rounds_passed == 8
+
+    def test_a_seeded_honest_session_is_pinned(self, monkeypatch):
+        # an empty memo makes the verifier ask for AGG_INPUT whatever ran before
+        monkeypatch.setattr(protocol, "_last_valid", None)
+        _, pairs, agg, wm = make_world(seed=5)
+        prover = ProverSession(pairs[2][1], agg, PARAMS, 2, d=9,
+                               rng=np.random.default_rng(51), l_com=L_COM)
+        verifier = VerifierSession(wm.h, ERR_N, d=9, rng=np.random.default_rng(52), l_com=L_COM)
+        drive(prover, verifier)
+        assert verifier.accepted and prover.accepted
+        challenges = {json.loads(line)["c"] for line in verifier.transcript
+                      if json.loads(line)["type"] == "CHALLENGE"}
+        assert challenges == {0, 1, 2}  # every opening is in the pinned bytes
+        digest = hashlib.shake_256()
+        for line in prover.transcript + verifier.transcript:
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest(16) == HONEST_SESSION_PIN
 
     def test_every_client_slot_works(self):
         rng, pairs, agg, wm = make_world(seed=3)

@@ -339,6 +339,30 @@ def test_extractor_on_identity_block_matrix():
     assert s_out == s and e_out == e
 
 
+def test_extractor_on_a_rank_deficient_matrix_agrees_with_both_blinded_solves():
+    # column 3 repeats column 0, so s is not unique; the one solve of y xor e
+    # must give the XOR of the c = 0 and c = 1 systems' greedy-support answers
+    from types import SimpleNamespace
+
+    from fedzkp.gf2 import BitMatrix, solve_linear
+    from fedzkp.lpn import Credential
+
+    rng = np.random.default_rng(17)
+    rows = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [1, 1, 1, 1],
+                     [0, 0, 1, 0], [1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
+    A = BitMatrix(rows)
+    s, e = BitVec([1, 0, 1, 1]), BitVec([0, 1, 0, 0, 1, 0])
+    pub = SimpleNamespace(A=A, y=mat_vec_mul(A, s) ^ e, w=e.weight())
+    for _ in range(20):
+        tr0, tr1, tr2 = triple(pub, Credential(s, e), rng)
+        s_out, e_out = extract_witness(pub, tr0, tr1, tr2)
+        pi_inv = tr0.response.pi.inverse()
+        t0, t1, t2 = tr0.response.t0, tr0.response.t1, tr1.response.t2
+        both = (solve_linear(A, t0 ^ pi_inv.apply(t1))
+                ^ solve_linear(A, t0 ^ pi_inv.apply(t2) ^ pub.y))
+        assert e_out == e and s_out == both and mat_vec_mul(A, s_out) ^ e == pub.y
+
+
 def test_extractor_rejects_inconsistent_transcripts():
     rng = np.random.default_rng(16)
     pub, cred = gen_instance(SMALL, rng)

@@ -39,7 +39,7 @@ def test_round_trip_with_padding_in_both_blocks():
     owner = back.parts[0].y.bits.base
     assert owner is not None and all(p.y.bits.base is owner for p in back.parts)
     assert not any("A" in vars(p) for p in back.parts)
-    assert [p.A for p in back.parts] == [p.A for p in agg.parts]
+    assert all(np.array_equal(b.A.array, a.A.array) for b, a in zip(back.parts, agg.parts))
 
 
 def test_the_largest_weight_is_m_over_two():

@@ -233,8 +233,8 @@ class TestParameterHeaders:
         # the layout before: kinds 1-3, then m, l, tau as a fraction and w
         pub, cred = gen_instance(PARAMS, rng)
         old_kind, body = {"credential": (1, cred.s.to_bytes() + cred.e.to_bytes()),
-                          "public_input": (2, pub.A.to_bytes() + pub.y.to_bytes()),
-                          "aggregate": (3, struct.pack("<I", 1) + pub.A.to_bytes()
+                          "public_input": (2, np.packbits(pub.A.array).tobytes() + pub.y.to_bytes()),
+                          "aggregate": (3, struct.pack("<I", 1) + np.packbits(pub.A.array).tobytes()
                                         + pub.y.to_bytes())}[kind]
         path = tmp_path / "old.bin"
         path.write_bytes(MAGIC + bytes([old_kind])
@@ -251,7 +251,7 @@ class TestParameterHeaders:
         path = tmp_path / "old.bin"
         path.write_bytes(MAGIC + bytes([old_kind]) + b"FEDZKP-H2"
                          + struct.pack("<IIII", 1, PARAMS.m, PARAMS.l, PARAMS.w)
-                         + pub.A.to_bytes() + pub.y.to_bytes())
+                         + np.packbits(pub.A.array).tobytes() + pub.y.to_bytes())
         with pytest.raises(ValueError, match=f"wrong file kind {old_kind}, expected"):
             WRITERS[kind][1](path)
 
