@@ -1,7 +1,11 @@
 """Wire protocol: the credential proof run between two processes.
 
-One JSON object per line over a byte stream, binary payloads hex-encoded,
-a permutation on m points as its gf2 encoding, each index in
+One JSON object per line over a byte stream.  Every binary payload is
+canonical base64 (RFC 4648, the standard alphabet with its padding and
+zero trailing bits), so n bytes take exactly 4*ceil(n/3) characters and
+each payload has one spelling: a reader accepts only the string that
+re-encoding the decoded bytes gives back, and an error names the field.
+A permutation on m points is its gf2 encoding, each index in
 ceil(log2 m) bits (1,000 bytes at m=800), read back with the verifier's
 own m.  AGG_INPUT's one field "aggregate" holds storage's aggregate.bin
 bytes: the magic, the kind byte and the statement's canonical bytes, the
@@ -63,6 +67,7 @@ are still checked per session.
 """
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import socket
@@ -71,7 +76,7 @@ from typing import Optional
 
 import numpy as np
 
-from .commitments import DEFAULT_COMMIT_BITS, Commitment
+from .commitments import DEFAULT_COMMIT_BITS, OPENING_BYTES, Commitment
 from .gf2 import BitVec, Permutation
 from .lpn import Credential, PublicInput
 from .sigma import (
@@ -163,57 +168,74 @@ def _bool_field(msg: dict, key: str) -> bool:
     return v
 
 
-def _hex_field(msg: dict, key: str) -> bytes:
+def _b64(raw: bytes) -> str:
+    """The one wire spelling of `raw`: canonical base64."""
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _bytes_field(msg: dict, key: str) -> bytes:
+    """The bytes field `key` spells; any spelling but _b64's is refused."""
     v = msg.get(key)
     if not isinstance(v, str):
-        raise ProtocolError(f"field {key!r} must be a hex string")
+        raise ProtocolError(f"field {key!r} must be a base64 string")
     try:
-        return bytes.fromhex(v)
-    except ValueError:
-        raise ProtocolError(f"field {key!r} is not valid hex") from None
+        raw = binascii.a2b_base64(v)  # skips stray characters: the re-encoding catches them
+    except ValueError:  # bad padding or length (binascii.Error), or non-ASCII text
+        raise ProtocolError(f"field {key!r} is not canonical base64") from None
+    if _b64(raw) != v:
+        raise ProtocolError(f"field {key!r} is not canonical base64")
+    return raw
 
 
-def _opt_hex(msg: dict, key: str) -> Optional[bytes]:
-    return None if msg.get(key) is None else _hex_field(msg, key)
+def _opt_field(msg: dict, key: str, parse):
+    """parse(bytes) of field `key`, or None when it is absent; a ValueError
+    from parse becomes an error that names the field."""
+    if msg.get(key) is None:
+        return None
+    try:
+        return parse(_bytes_field(msg, key))
+    except ValueError as exc:
+        raise ProtocolError(f"field {key!r}: {exc}") from None
+
+
+def _opening(raw: bytes) -> bytes:
+    if len(raw) != OPENING_BYTES:
+        raise ValueError(f"expected {OPENING_BYTES} bytes, got {len(raw)}")
+    return raw
 
 
 def encode_msg1(msg1: RoundMessage1) -> dict:
-    return {"C0": msg1.C0.c.hex(), "C1": msg1.C1.c.hex(), "C2": msg1.C2.c.hex()}
+    return {"C0": _b64(msg1.C0.c), "C1": _b64(msg1.C1.c), "C2": _b64(msg1.C2.c)}
 
 
 def decode_msg1(body: dict, l_com: int) -> RoundMessage1:
-    digests = [_hex_field(body, k) for k in ("C0", "C1", "C2")]
-    if any(len(c) != (l_com + 7) // 8 for c in digests):
-        raise ProtocolError(f"commitment is not an l_com={l_com} digest")
+    digests = []
+    for k in ("C0", "C1", "C2"):
+        digests.append(_bytes_field(body, k))
+        if len(digests[-1]) != (l_com + 7) // 8:
+            raise ProtocolError(f"field {k!r} is not an l_com={l_com} digest")
     return RoundMessage1(*(Commitment(c, l_com) for c in digests))
 
 
 def encode_response(resp: RoundResponse) -> dict:
     out = {"c": resp.c}
-    if resp.pi is not None:
-        out["pi"] = resp.pi.to_bytes().hex()
-    for k in ("t0", "t1", "t2"):
+    for k in ("pi", "t0", "t1", "t2"):
         v = getattr(resp, k)
         if v is not None:
-            out[k] = v.to_bytes().hex()
+            out[k] = _b64(v.to_bytes())
     for k in ("d0", "d1", "d2"):
         v = getattr(resp, k)
         if v is not None:
-            out[k] = v.hex()
+            out[k] = _b64(v)
     return out
 
 
 def decode_response(body: dict, m: int) -> RoundResponse:
     c = _int_field(body, "c", lo=0, hi=2)
-    pi_raw = _opt_hex(body, "pi")
-    try:
-        pi = None if pi_raw is None else Permutation.from_bytes(pi_raw, m)
-        ts = [None if (raw := _opt_hex(body, k)) is None else BitVec.from_bytes(raw, m)
-              for k in ("t0", "t1", "t2")]
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
-    return RoundResponse(c, pi, ts[0], ts[1], ts[2],
-                         _opt_hex(body, "d0"), _opt_hex(body, "d1"), _opt_hex(body, "d2"))
+    pi = _opt_field(body, "pi", lambda raw: Permutation.from_bytes(raw, m))
+    ts = [_opt_field(body, k, lambda raw: BitVec.from_bytes(raw, m)) for k in ("t0", "t1", "t2")]
+    ds = [_opt_field(body, k, _opening) for k in ("d0", "d1", "d2")]
+    return RoundResponse(c, pi, *ts, *ds)
 
 
 def aggregate_digest(blob: bytes) -> bytes:
@@ -222,16 +244,16 @@ def aggregate_digest(blob: bytes) -> bytes:
 
 
 def encode_aggregate(agg: AggregatedInput) -> dict:
-    """HELLO's "digest" and AGG_INPUT's "aggregate", both hex."""
+    """HELLO's "digest" and AGG_INPUT's "aggregate", both base64."""
     blob = aggregate_to_bytes(agg)
-    return {"digest": aggregate_digest(blob).hex(), "aggregate": blob.hex()}
+    return {"digest": _b64(aggregate_digest(blob)), "aggregate": _b64(blob)}
 
 
 def decode_aggregate(body: dict) -> tuple:
     """(digest, aggregate) of an AGG_INPUT body, hashing the bytes received."""
-    blob = _hex_field(body, "aggregate")
+    blob = _bytes_field(body, "aggregate")
     try:
-        return aggregate_digest(blob), aggregate_from_bytes(blob, "aggregate")
+        return aggregate_digest(blob), aggregate_from_bytes(blob, "field 'aggregate'")
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -358,7 +380,7 @@ class VerifierSession(_Session):
             rounds = _int_field(msg, "rounds", lo=1)
             if rounds != self.d:
                 raise ProtocolError(f"verifier runs {self.d} rounds, peer asked {rounds}")
-            self._digest = _hex_field(msg, "digest")
+            self._digest = _bytes_field(msg, "digest")
             if len(self._digest) != DIGEST_BYTES:
                 raise ProtocolError(f"field 'digest' must be {DIGEST_BYTES} bytes")
             memo = _last_valid
@@ -370,8 +392,9 @@ class VerifierSession(_Session):
         if mtype == "AGG_INPUT":
             digest, agg = decode_aggregate(msg)
             if digest != self._digest:
+                # canonical: the spelling the HELLO carried
                 raise ProtocolError("aggregate bytes do not match the HELLO digest "
-                                    + self._digest.hex())
+                                    + _b64(self._digest))
             return self._validity((len(self.h), digest), agg)
 
         self._check_round(msg)

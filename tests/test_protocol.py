@@ -1,4 +1,5 @@
 """Wire protocol tests: sans-io state machines, TCP endpoints, replay."""
+import base64
 import hashlib
 import json
 import socket
@@ -58,23 +59,55 @@ def relabel(agg, w):
 DEEP_NESTING = "[" * 100_000  # RecursionError
 HUGE_SEQ = '{"type":"HELLO","session":"s","seq":' + "9" * 5000 + "}"  # int digit limit
 HOSTILE_LINES = ("this is not json\n", DEEP_NESTING, HUGE_SEQ)
-ZERO_DIGEST = "00" * 32  # hashes no aggregate here, so a verifier always asks for it
+ZERO_DIGEST = "A" * 43 + "="  # 32 zero bytes: no aggregate here hashes to it, so a
+# verifier always asks for the aggregate
 # SHAKE-256 of both sides' lines of one seeded honest session, frozen once:
 # a change means a prover's or a verifier's bytes moved at a fixed seed
-HONEST_SESSION_PIN = "05c4f3d1f1651d78adc32554860d8d47"
+HONEST_SESSION_PIN = "d210499633c3a18dfb598d0983e373c3"
+# the same lines with every binary field spelled in hex, as the wire once
+# carried them: the pin from before base64, so only the spelling moved
+HEX_SESSION_PIN = "05c4f3d1f1651d78adc32554860d8d47"
+# every field that carries bytes, in base64
+BINARY_FIELDS = ("digest", "aggregate", "C0", "C1", "C2", "pi", "t0", "t1", "t2",
+                 "d0", "d1", "d2")
+
+
+def b64(raw):
+    return base64.b64encode(raw).decode()
+
+
+def unb64(text):
+    return base64.b64decode(text, validate=True)
 
 
 def shake(blob):
-    return hashlib.shake_256(blob).hexdigest(32)
+    """The wire spelling of blob's aggregate digest."""
+    return b64(hashlib.shake_256(blob).digest(32))
+
+
+def pin(lines):
+    digest = hashlib.shake_256()
+    for line in lines:
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest(16)
+
+
+def hex_spelled(line):
+    """`line` with every binary field re-spelled in hex."""
+    msg = json.loads(line)
+    return protocol._encode({k: unb64(v).hex() if k in BINARY_FIELDS else v
+                             for k, v in msg.items()})
 
 
 def types(lines):
     return [json.loads(line)["type"] for line in lines]
 
 
-def flip_hex(text, i):
-    """`text` with hex digit i changed, so one byte of the payload differs."""
-    return text[:i] + ("1" if text[i] == "0" else "0") + text[i + 1:]
+def flip_byte(text, i):
+    """The base64 `text` with the low bit of payload byte i flipped."""
+    raw = bytearray(unb64(text))
+    raw[i] ^= 1
+    return b64(bytes(raw))
 
 
 def drive(prover, verifier):
@@ -89,15 +122,15 @@ def drive(prover, verifier):
 
 
 def repack_pi(text, m, edit):
-    """Hex of a pi encoding with its indices passed through `edit`, packed again."""
+    """Base64 of a pi encoding with its indices passed through `edit`, packed again."""
     b = (m - 1).bit_length()
-    raw = bytes.fromhex(text)
+    raw = unb64(text)
     pad = len(raw) * 8 - m * b
     v = int.from_bytes(raw, "big") >> pad
     v_new = 0
     for i in edit([(v >> (b * (m - 1 - k))) & ((1 << b) - 1) for k in range(m)]):
         v_new = (v_new << b) | i
-    return (v_new << pad).to_bytes(len(raw), "big").hex()
+    return b64((v_new << pad).to_bytes(len(raw), "big"))
 
 
 def open_session(prover, verifier):
@@ -131,10 +164,9 @@ class TestLoopback:
         challenges = {json.loads(line)["c"] for line in verifier.transcript
                       if json.loads(line)["type"] == "CHALLENGE"}
         assert challenges == {0, 1, 2}  # every opening is in the pinned bytes
-        digest = hashlib.shake_256()
-        for line in prover.transcript + verifier.transcript:
-            digest.update(line.encode() + b"\n")
-        assert digest.hexdigest(16) == HONEST_SESSION_PIN
+        lines = prover.transcript + verifier.transcript
+        assert pin(lines) == HONEST_SESSION_PIN
+        assert pin([hex_spelled(line) for line in lines]) == HEX_SESSION_PIN
 
     def test_every_client_slot_works(self):
         rng, pairs, agg, wm = make_world(seed=3)
@@ -199,9 +231,9 @@ def test_agg_input_carries_the_aggregate_file_bytes(tmp_path):
     save_aggregate(tmp_path / "aggregate.bin", agg, PARAMS)
     doc = encode_aggregate(agg)
     blob = (tmp_path / "aggregate.bin").read_bytes()
-    assert bytes.fromhex(doc["aggregate"]) == blob and doc["digest"] == shake(blob)
+    assert unb64(doc["aggregate"]) == blob and doc["digest"] == shake(blob)
     digest, back = decode_aggregate(doc)
-    assert digest.hex() == doc["digest"] and blob[8:] == canonical_bytes(agg)
+    assert b64(digest) == doc["digest"] and blob[8:] == canonical_bytes(agg)
     assert back == agg and hash_watermark(back, N_BITS) == wm
     assert len(blob) == 8 + 25 + 3 * (32 + PARAMS.m // 8)
 
@@ -289,14 +321,16 @@ class TestVerifierRejectsBadWire:
             assert "client index" in json.loads(out[0])["message"]
 
     def test_bad_hex_in_aggregate(self, monkeypatch):
+        # the bytes spelled in hex, as a peer of the old wire would send them
         monkeypatch.setattr(protocol, "_last_valid", None)
         prover = self.prover()
         v = self.fresh()
         request = v.feed(prover.start()[0])
         doc = json.loads(prover.feed(request[0])[0])
-        doc["aggregate"] = "zz" + doc["aggregate"][2:]
+        doc["aggregate"] = unb64(doc["aggregate"]).hex()
         out = v.feed(json.dumps(doc))
         assert v.done and json.loads(out[0])["type"] == "ERROR"
+        assert "aggregate" in json.loads(out[0])["message"]
 
     def test_duplicate_commit_rejected(self):
         prover = self.prover()
@@ -348,7 +382,7 @@ class TestVerifierRejectsBadWire:
 
     def test_an_honest_pi_takes_ceil_log2_m_bits_per_index(self, monkeypatch):
         v, doc = self.pi_response(PARAMS, monkeypatch)  # m=48: 6 bits, 36 bytes
-        assert len(doc["pi"]) == 72
+        assert len(unb64(doc["pi"])) == 36 and len(doc["pi"]) == 48
         assert types(v.feed(json.dumps(doc))) == ["ROUND_RESULT"] and not v.done
 
     @pytest.mark.parametrize("case, reason", [
@@ -358,14 +392,14 @@ class TestVerifierRejectsBadWire:
     def test_a_malformed_pi_draws_an_error(self, case, reason, monkeypatch):
         params = XlpnParams(m=50, l=32, tau=Fraction(1, 4))  # 300 bits of indices, 4 of padding
         v, doc = self.pi_response(params, monkeypatch)
-        pi = doc["pi"]
-        assert len(pi) == 76 and repack_pi(pi, 50, lambda idx: idx) == pi
+        pi, raw = doc["pi"], unb64(doc["pi"])
+        assert len(raw) == 38 and repack_pi(pi, 50, lambda idx: idx) == pi
         doc["pi"] = {
-            "padding bit": pi[:-1] + format(int(pi[-1], 16) | 1, "x"),
+            "padding bit": b64(raw[:-1] + bytes([raw[-1] | 1])),
             "index >= m": repack_pi(pi, 50, lambda idx: [50] + idx[1:]),
             "repeated index": repack_pi(pi, 50, lambda idx: idx[:1] * 2 + idx[2:]),
-            "short": pi[:-2],
-            "long": pi + "00",
+            "short": b64(raw[:-1]),
+            "long": b64(raw + b"\x00"),
         }[case]
         out = v.feed(json.dumps(doc))
         assert types(out) == ["ERROR"]
@@ -604,10 +638,10 @@ class TestWireForgeries:
         w = cred.e.weight()
         assert (w, PARAMS.w) == (16, 12)
         forged = relabel(agg, w)
-        genuine, sent = encode_aggregate(agg)["aggregate"], encode_aggregate(forged)["aggregate"]
-        at = 2 * (HEADER_BYTES - 4)  # the hex of the header's w field
-        assert sent[:at] + sent[at + 8:] == genuine[:at] + genuine[at + 8:]
-        assert sent[at:at + 8] == struct.pack("<I", w).hex()
+        genuine, sent = (unb64(encode_aggregate(a)["aggregate"]) for a in (agg, forged))
+        at = HEADER_BYTES - 4  # the header's w field
+        assert sent[:at] + sent[at + 4:] == genuine[:at] + genuine[at + 4:]
+        assert sent[at:at + 4] == struct.pack("<I", w)
         return pairs, agg, wm, cred, forged
 
     def test_a_forged_tau_fails_validity(self, monkeypatch):
@@ -895,19 +929,19 @@ def _padding_bit(blob):
 # AGG_INPUT payloads built from the genuine aggregate's bytes, a
 # public_0.bin file's bytes and an ODD-sized aggregate's bytes
 MALFORMED = {
-    "truncated_header": lambda blob, public, odd: blob[:20].hex(),
-    "short_part": lambda blob, public, odd: blob[:-1].hex(),
-    "trailing_byte": lambda blob, public, odd: (blob + b"\x00").hex(),
-    "bad_tag": lambda blob, public, odd: _patch(blob, 8, b"FEDZKP-H1").hex(),
-    "no_clients": lambda blob, public, odd: _field(blob, 0, 0)[:HEADER_BYTES].hex(),
+    "truncated_header": lambda blob, public, odd: b64(blob[:20]),
+    "short_part": lambda blob, public, odd: b64(blob[:-1]),
+    "trailing_byte": lambda blob, public, odd: b64(blob + b"\x00"),
+    "bad_tag": lambda blob, public, odd: b64(_patch(blob, 8, b"FEDZKP-H1")),
+    "no_clients": lambda blob, public, odd: b64(_field(blob, 0, 0)[:HEADER_BYTES]),
     # m and l swapped, and the y block 3 * 16 bits shorter to match
     "m_not_above_l": lambda blob, public, odd:
-        _field(_field(blob, 1, PARAMS.l), 2, PARAMS.m)[:-6].hex(),
-    "w_above_half_m": lambda blob, public, odd: _field(blob, 3, PARAMS.m // 2 + 1).hex(),
-    "y_padding_bit": lambda blob, public, odd: _padding_bit(odd).hex(),
-    "public_input_kind": lambda blob, public, odd: public.hex(),
+        b64(_field(_field(blob, 1, PARAMS.l), 2, PARAMS.m)[:-6]),
+    "w_above_half_m": lambda blob, public, odd: b64(_field(blob, 3, PARAMS.m // 2 + 1)),
+    "y_padding_bit": lambda blob, public, odd: b64(_padding_bit(odd)),
+    "public_input_kind": lambda blob, public, odd: b64(public),
     "number": lambda blob, public, odd: 17,
-    "list": lambda blob, public, odd: [blob.hex()],
+    "list": lambda blob, public, odd: [b64(blob)],
 }
 
 
@@ -957,11 +991,11 @@ class TestAggregateMemo:
         """A verifier fed a HELLO that announces `digest` and then the AGG_INPUT `doc`.
 
         By default the digest is that of doc's bytes, or one no aggregate
-        has when they are not hex; either way the verifier must ask.
+        has when they are not base64; either way the verifier must ask.
         """
         if digest is None:
             try:
-                digest = shake(bytes.fromhex(doc["aggregate"]))
+                digest = shake(unb64(doc["aggregate"]))
             except (TypeError, ValueError):
                 digest = ZERO_DIGEST
         v = VerifierSession(self.wm.h, ERR_N, d=4, rng=self.rng, l_com=L_COM)
@@ -1016,25 +1050,26 @@ class TestAggregateMemo:
     def test_a_malformed_aggregate_draws_an_error(self, case, tmp_path):
         assert self.session().accepted
         entry = protocol._last_valid
-        blob = bytes.fromhex(encode_aggregate(self.agg)["aggregate"])
+        blob = unb64(encode_aggregate(self.agg)["aggregate"])
         save_public_input(tmp_path / "public_0.bin", self.pairs[0][0], PARAMS)
         public = (tmp_path / "public_0.bin").read_bytes()
-        odd = bytes.fromhex(encode_aggregate(make_world(seed=24, params=ODD)[2])["aggregate"])
+        odd = unb64(encode_aggregate(make_world(seed=24, params=ODD)[2])["aggregate"])
         v, out = self.feed_aggregate({"aggregate": MALFORMED[case](blob, public, odd)})
         assert v.done and not v.accepted and out[0]["type"] == "ERROR"
         assert protocol._last_valid is entry
 
     def test_bad_hex_is_rejected_with_a_warm_memo(self):
+        # the old wire's spelling of the very bytes the memo holds
         assert self.session().accepted
-        text = encode_aggregate(self.agg)["aggregate"]
-        v, out = self.feed_aggregate({"aggregate": text[:-2] + "zz"})
-        assert v.done and out[0]["type"] == "ERROR" and "hex" in out[0]["message"]
+        blob = unb64(encode_aggregate(self.agg)["aggregate"])
+        v, out = self.feed_aggregate({"aggregate": blob.hex()})
+        assert v.done and out[0]["type"] == "ERROR" and "aggregate" in out[0]["message"]
 
     def test_an_altered_aggregate_fails_and_leaves_the_entry(self):
         assert self.session().accepted
         entry = protocol._last_valid
         text = encode_aggregate(self.agg)["aggregate"]
-        doc = {"aggregate": flip_hex(text, 2 * HEADER_BYTES)}  # part 0's seed
+        doc = {"aggregate": flip_byte(text, HEADER_BYTES)}  # part 0's seed
         v, out = self.feed_aggregate(doc)
         assert out[0]["type"] == "VALIDITY_RESULT" and not out[0]["accepted"]
         assert v.done and not v.accepted
@@ -1089,7 +1124,7 @@ class TestAggregateMemo:
         assert v.accepted
         assert types(v.transcript)[:5] == ["HELLO", "AGG_REQUEST", "AGG_INPUT",
                                            "VALIDITY_RESULT", "COMMIT"]
-        blob = bytes.fromhex(json.loads(v.transcript[2])["aggregate"])
+        blob = unb64(json.loads(v.transcript[2])["aggregate"])
         assert json.loads(v.transcript[0])["digest"] == shake(blob)
         assert protocol._last_valid[0] == (N_BITS, hashlib.shake_256(blob).digest(32))
 
@@ -1098,9 +1133,9 @@ class TestAggregateMemo:
         genuine = encode_aggregate(self.agg)
         third = encode_aggregate(relabel(self.agg, THIRD.w))
         # the same seeds and y relabelled to another w: only the header differs
-        head = 2 * HEADER_BYTES
-        assert third["aggregate"][:head] != genuine["aggregate"][:head]
-        assert third["aggregate"][head:] == genuine["aggregate"][head:]
+        third_blob, genuine_blob = unb64(third["aggregate"]), unb64(genuine["aggregate"])
+        assert third_blob[:HEADER_BYTES] != genuine_blob[:HEADER_BYTES]
+        assert third_blob[HEADER_BYTES:] == genuine_blob[HEADER_BYTES:]
         if warm:
             assert self.session().accepted
         entry = protocol._last_valid
@@ -1111,9 +1146,9 @@ class TestAggregateMemo:
         assert v.done and not v.accepted and "digest" in v.reason
         assert protocol._last_valid is entry
 
-    @pytest.mark.parametrize("digest", [None, "ab" * 31, "ab" * 33, "zz" * 32, 17,
-                                        ["00" * 32]],
-                             ids=["missing", "short", "long", "not_hex", "number", "list"])
+    @pytest.mark.parametrize("digest", [None, b64(bytes(31)), b64(bytes(33)), "*" * 44, 17,
+                                        [ZERO_DIGEST]],
+                             ids=["missing", "short", "long", "not_base64", "number", "list"])
     def test_a_malformed_digest_draws_an_error(self, digest):
         assert self.session().accepted
         entry = protocol._last_valid
@@ -1135,8 +1170,8 @@ class TestAggregateMemo:
 
     def test_threads_share_the_entry_without_a_wrong_verdict(self):
         genuine = encode_aggregate(self.agg)
-        last = len(genuine["aggregate"]) - 1  # in the last part's y
-        altered = {"aggregate": flip_hex(genuine["aggregate"], last)}
+        last = len(unb64(genuine["aggregate"])) - 1  # in the last part's y
+        altered = {"aggregate": flip_byte(genuine["aggregate"], last)}
         errors = []
 
         def worker(i):
@@ -1162,7 +1197,7 @@ class TestAggregateMemo:
         finally:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert protocol._last_valid[0] == (N_BITS, bytes.fromhex(genuine["digest"]))
+        assert protocol._last_valid[0] == (N_BITS, unb64(genuine["digest"]))
 
     def test_two_sessions_through_one_endpoint(self, tmp_path):
         port_box = []
@@ -1210,7 +1245,7 @@ def test_a_statement_beyond_memory_is_refused_without_expanding_a_matrix(monkeyp
         assert types(v.feed(json.dumps({"type": "HELLO", "session": "s", "seq": 0, "client": 0,
                                         "rounds": 4, "digest": shake(blob)}))) == ["AGG_REQUEST"]
         out = v.feed(json.dumps({"type": "AGG_INPUT", "session": "s", "seq": 1,
-                                 "aggregate": blob.hex()}))
+                                 "aggregate": b64(blob)}))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1221,7 +1256,7 @@ def test_a_statement_beyond_memory_is_refused_without_expanding_a_matrix(monkeyp
 
 
 class TestAggregateInputLine:
-    """The prover takes HELLO's digest and AGG_INPUT's hex from one encoding per
+    """The prover takes HELLO's digest and AGG_INPUT's base64 from one encoding per
     session; the AGG_INPUT line is what encoding the whole message gives."""
 
     @pytest.fixture(autouse=True)
@@ -1244,7 +1279,7 @@ class TestAggregateInputLine:
                                           "session": prover.session_id, "seq": 0}))
         assert types(prover.transcript) == ["HELLO", "AGG_REQUEST", "AGG_INPUT"]
         assert prover.transcript[::2] == [hello, line]
-        assert json.loads(hello)["digest"] == shake(bytes.fromhex(json.loads(line)["aggregate"]))
+        assert json.loads(hello)["digest"] == shake(unb64(json.loads(line)["aggregate"]))
         return prover, line
 
     def test_the_line_is_the_encoded_message_cold_and_warm(self):
