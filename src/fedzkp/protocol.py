@@ -124,8 +124,12 @@ class SessionSummary:
     rounds_passed: int
 
 
+# one encoder for every message: json.dumps would build a new one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _encode(msg: dict) -> str:
-    return json.dumps(msg, separators=(",", ":"))
+    return _ENCODER.encode(msg)
 
 
 def _echo(text: str) -> str:
