@@ -45,16 +45,20 @@ def commit(m: bytes, rng: np.random.Generator,
     return commit_batch([m], rng, l_com)[0]
 
 
-def commit_batch(messages, rng: np.random.Generator,
-                 l_com: int = DEFAULT_COMMIT_BITS) -> list:
+def commit_batch(messages, rng, l_com: int = DEFAULT_COMMIT_BITS) -> list:
     """Commit to several messages with one randomness draw for the lot.
 
     The openings are consecutive 32-byte slices of that draw, so a batch
     gives the same commitments as one commit() per message in order.
+    `rng` is a generator, or the bytes of the draw when the caller took
+    them from the generator along with its other randomness.
     """
     if l_com <= 0:
         raise ValueError("l_com must be positive")
-    d_all = rng.bytes(OPENING_BYTES * len(messages))
+    n = OPENING_BYTES * len(messages)
+    d_all = rng if isinstance(rng, bytes) else rng.bytes(n)
+    if len(d_all) != n:
+        raise ValueError(f"expected {n} bytes of openings, got {len(d_all)}")
     out = []
     for i, m in enumerate(messages):
         d = d_all[i * OPENING_BYTES:(i + 1) * OPENING_BYTES]

@@ -13,11 +13,12 @@ pivot, the columns that XOR to its reduced vector.  b is in the image
 iff every row of H meets it in an even number of bits.
 
 Serialization convention used by every module downstream: bits pack 8 per
-byte, most significant bit first within each byte; a permutation
-serializes as its indices of ceil(log2 m) bits each, zero-padded to a
-byte boundary at the end.  A matrix has no byte form: a statement names
-its matrix by a seed (lpn).  Length headers, when a format needs them,
-are the caller's job.
+byte, most significant bit first within each byte.  A permutation's byte
+form is the 32-byte seed it is expanded from (Permutation.from_bytes), so
+the same 32 bytes on the wire and inside a commitment at every m; one
+built from a map has none.  A matrix has no byte form either: a statement
+names its matrix by a seed (lpn).  Length headers, when a format needs
+them, are the caller's job.
 
 All values are immutable after construction and safe to share across
 threads.  Nothing here is constant-time; this is research code, not
@@ -25,7 +26,7 @@ production cryptography.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+import hashlib
 from typing import Optional
 
 import numpy as np
@@ -40,6 +41,9 @@ __all__ = [
     "hamming_distance",
     "sample_fixed_weight",
 ]
+
+PERM_SEED_BYTES = 32
+PERM_TAG = b"FEDZKP-P1"
 
 
 def _as_bit_array(bits, ndim: int) -> np.ndarray:
@@ -259,30 +263,30 @@ class BitMatrix:
 class Permutation:
     """Bijection on {0..m-1}; input position i lands at position map[i]."""
 
-    __slots__ = ("_map", "_inv", "_bytes")
+    __slots__ = ("_map", "_inv", "_seed")
 
     def __init__(self, mapping):
         arr = np.array(mapping, dtype=np.int64, copy=True)
-        if arr.ndim != 1:
-            raise ValueError("permutation map must be one-dimensional")
-        _check_bijection(arr)
+        if arr.ndim != 1 or not np.array_equal(np.sort(arr), np.arange(arr.size)):
+            raise ValueError("a permutation map lists each of 0..m-1 exactly once")
         arr.setflags(write=False)
-        self._map = arr
-        self._inv = None
-        self._bytes = None
+        self._map, self._inv, self._seed = arr, None, None
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray, data: Optional[bytes] = None) -> "Permutation":
+    def _wrap(cls, arr: np.ndarray, seed: Optional[bytes] = None) -> "Permutation":
         p = object.__new__(cls)
         arr.setflags(write=False)
-        p._map = arr
-        p._inv = None
-        p._bytes = data
+        p._map, p._inv, p._seed = arr, None, seed
         return p
 
     @classmethod
     def random(cls, m: int, rng: np.random.Generator) -> "Permutation":
-        return cls._wrap(rng.permutation(m).astype(np.int64, copy=False))
+        """The permutation a fresh seed names, drawing again on a tie."""
+        while True:
+            try:
+                return cls.from_bytes(rng.bytes(PERM_SEED_BYTES), m)
+            except ValueError:  # the keys tied
+                pass
 
     def __len__(self) -> int:
         return self._map.size
@@ -311,69 +315,30 @@ class Permutation:
         return self._inv
 
     def to_bytes(self) -> bytes:
-        """Each index in ceil(log2 m) bits, MSB-first, in domain order,
-        zero-padded to a byte boundary only at the end.
-
-        Packed once and cached, like inverse(); a permutation read by
-        from_bytes keeps the bytes it was read from.
-        """
-        if self._bytes is None:
-            # one gather of each index's row from the encoding table, then one pack
-            digits = _index_digits(self._map.size).take(self._map, axis=0)
-            self._bytes = np.packbits(digits).tobytes()
-        return self._bytes
+        """The seed this permutation was expanded from; one built from a map,
+        or an inverse, has no byte form."""
+        if self._seed is None:
+            raise ValueError("only a permutation expanded from a seed has a byte form")
+        return self._seed
 
     @classmethod
-    def from_bytes(cls, data: bytes, m: int) -> "Permutation":
-        """Inverse of to_bytes for a permutation on {0..m-1}.
-
-        Rejects a wrong length, nonzero padding bits, an index >= m and a
-        repeated index, so every permutation has exactly one encoding.
-        """
-        b = _index_bits(m)
-        if len(data) != (m * b + 7) // 8:
-            raise ValueError(f"expected {(m * b + 7) // 8} bytes for a permutation "
-                             f"on {m} points, got {len(data)}")
-        full = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        if full[m * b:].any():
-            raise ValueError("nonzero padding bits")
-        # a float product is exact below 2**53 and runs in BLAS
-        weights = np.ldexp(1.0, np.arange(b - 1, -1, -1))
-        arr = (full[:m * b].reshape(m, b) @ weights).astype(np.int64)
-        _check_bijection(arr)
-        return cls._wrap(arr, bytes(data))
+    def from_bytes(cls, seed: bytes, m: int) -> "Permutation":
+        """The permutation on {0..m-1} that a 32-byte seed names: the argsort
+        of its _perm_keys.  A seed whose keys tie names none and is refused."""
+        if len(seed) != PERM_SEED_BYTES:
+            raise ValueError(f"expected a {PERM_SEED_BYTES}-byte seed, got {len(seed)} bytes")
+        keys = _perm_keys(seed, m)
+        order = np.argsort(keys)
+        ranked = keys[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            raise ValueError("the seed's keys tie, so it names no permutation")
+        return cls._wrap(order, bytes(seed))
 
 
-@lru_cache(maxsize=8)
-def _index_digits(m: int) -> np.ndarray:
-    """Row k holds the ceil(log2 m) binary digits of k, MSB first.
-
-    The encoding table of Permutation.to_bytes for every m: m * ceil(log2 m)
-    bytes, as much as one packing of a permutation on m points unpacks, built
-    once per m and kept for the last few m.
-    """
-    b = _index_bits(m)
-    # shift each index to the top of a big-endian word, keep its top b bits
-    words = (np.arange(m, dtype=np.int64) << (32 - b)).astype(">u4").view(np.uint8).reshape(-1, 4)
-    digits = np.unpackbits(words, axis=1, count=b)
-    digits.setflags(write=False)
-    return digits
-
-
-def _index_bits(m: int) -> int:
-    """Bits per index in Permutation.to_bytes: ceil(log2 m), 0 for m <= 1."""
-    return max(m - 1, 0).bit_length()
-
-
-def _check_bijection(arr: np.ndarray) -> None:
-    # m indices, each in range and each hit once, are a bijection on 0..m-1
-    m = arr.size
-    if m and (int(arr.min()) < 0 or int(arr.max()) >= m):
-        raise ValueError(f"index out of range for a permutation on {m} points")
-    seen = np.zeros(m, dtype=bool)
-    seen[arr] = True
-    if not seen.all():
-        raise ValueError("repeated index: not a bijection on 0..m-1")
+def _perm_keys(seed: bytes, m: int) -> np.ndarray:
+    """m little-endian u32 keys: SHAKE-256 over PERM_TAG, u32le(m) and the seed."""
+    stream = hashlib.shake_256(PERM_TAG + m.to_bytes(4, "little") + seed).digest(4 * m)
+    return np.frombuffer(stream, dtype="<u4")
 
 
 def mat_vec_mul(A: BitMatrix, x: BitVec) -> BitVec:

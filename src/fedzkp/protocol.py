@@ -5,11 +5,11 @@ canonical base64 (RFC 4648, the standard alphabet with its padding and
 zero trailing bits), so n bytes take exactly 4*ceil(n/3) characters and
 each payload has one spelling: a reader accepts only the string that
 re-encoding the decoded bytes gives back, and an error names the field.
-A permutation on m points is its gf2 encoding, each index in
-ceil(log2 m) bits (1,000 bytes at m=800), read back with the verifier's
-own m.  AGG_INPUT's one field "aggregate" holds storage's aggregate.bin
-bytes: the magic, the kind byte and the statement's canonical bytes, the
-ones the watermark hash reads.  HELLO's "digest" is 32 bytes of SHAKE-256
+A permutation travels as the 32-byte seed it is expanded from (gf2),
+44 characters at every m, expanded with the verifier's own m.
+AGG_INPUT's one field "aggregate" holds storage's aggregate.bin bytes:
+the magic, the kind byte and the statement's canonical bytes, the ones
+the watermark hash reads.  HELLO's "digest" is 32 bytes of SHAKE-256
 over them, so one statement has one digest.  COMMIT digests are as long
 as the verifier's own l_com.  The prover speaks first:
 
@@ -125,11 +125,7 @@ class SessionSummary:
 
 
 # one encoder for every message: json.dumps would build a new one per call
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def _encode(msg: dict) -> str:
-    return _ENCODER.encode(msg)
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _echo(text: str) -> str:

@@ -3,10 +3,11 @@
 One round: the prover blinds its credential behind a random permutation pi
 and random vectors (v, f), commits to
 
-    C0 = Com(pi || t0)    t0 = A @ v xor f
+    C0 = Com(seed || t0)  t0 = A @ v xor f
     C1 = Com(t1)          t1 = pi(f)
     C2 = Com(t2)          t2 = pi(f xor e)
 
+where seed is the 32-byte seed pi is expanded from (gf2.Permutation),
 and the verifier asks for one of three partial openings.  OPENS[c] names
 the two commitments challenge c opens; the prover's response and the
 verifier's check both read it:
@@ -30,8 +31,10 @@ blinds its e.  The cheating prover blinds a fake e that fits two of the
 checks: y xor A @ s' for a guessed s' gives up c = 2, and a random
 weight-w vector gives up c = 1, or c = 0 once y is folded into t0 and
 t1, t2 swap.  The honest-verifier simulator is that cheating prover,
-giving up a challenge other than the one it is asked: the two it can
-answer open values distributed exactly as an honest prover's.  The
+giving up a challenge other than the one it is asked.  For c in {0, 1} it
+opens values distributed exactly as an honest prover's; for c = 2 only up
+to pi being expanded from a seed, so rounds are computationally
+zero-knowledge (Beullens-Katsumata-Pintore, ASIACRYPT 2020).  The
 witness extractor reads e = pi^-1(t1 xor t2) from three accepting rounds
 sharing a first message, and solves A @ s = y xor e once.
 """
@@ -42,8 +45,9 @@ from typing import Optional
 
 import numpy as np
 
-from .commitments import DEFAULT_COMMIT_BITS, Commitment, commit_batch, verify_commit
-from .gf2 import BitVec, Permutation, in_image, mat_vec_mul, sample_fixed_weight, solve_linear
+from .commitments import DEFAULT_COMMIT_BITS, OPENING_BYTES, Commitment, commit_batch, verify_commit
+from .gf2 import (PERM_SEED_BYTES, BitVec, Permutation, in_image, mat_vec_mul, sample_fixed_weight,
+                  solve_linear)
 from .lpn import Credential, PublicInput
 
 DEFAULT_ROUNDS = 300
@@ -115,24 +119,35 @@ def _payloads(pi, t0, t1, t2) -> tuple:
 
 
 def _blob(*values) -> bytes:
-    # committed bytes: pi packed at ceil(log2 m) bits per index, then each t bit-packed
+    # committed bytes: pi's 32-byte seed, then each t bit-packed
     return b"".join(v.to_bytes() for v in values)
 
 
 def _blind(A, e, rng) -> tuple:
-    """The round's (pi, v, f, t0, t1, t2) hiding e, a raw 0/1 array."""
+    """The round's (pi, v, f, t0, t1, t2) hiding e, a raw 0/1 array, and its openings.
+
+    One call draws the openings, pi's seed and v || f, as raw 64-bit words:
+    rng.bytes costs about 7 us whatever its length, random_raw about 1 us.
+    A seed whose keys tie names no permutation, so the round draws again.
+    """
     m, l = A.array.shape
-    pi = Permutation.random(m, rng)
-    vf = rng.integers(0, 2, size=l + m, dtype=np.uint8)
+    k = 3 * OPENING_BYTES + PERM_SEED_BYTES
+    while True:
+        raw = rng.bit_generator.random_raw((8 * k + l + m + 63) // 64).astype("<u8").tobytes()
+        try:
+            pi = Permutation.from_bytes(raw[3 * OPENING_BYTES:k], m)
+            break
+        except ValueError:  # the keys tied, about once in 2**33 / m**2 rounds
+            pass
+    vf = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=k), count=l + m)
     v, f = BitVec._wrap(vf[:l]), BitVec._wrap(vf[l:])
     t0 = BitVec._wrap(mat_vec_mul(A, v).bits ^ f.bits)
-    return pi, v, f, t0, pi.apply(f), pi.apply(BitVec._wrap(f.bits ^ e))
+    return pi, v, f, t0, pi.apply(f), pi.apply(BitVec._wrap(f.bits ^ e)), raw[:3 * OPENING_BYTES]
 
 
-def _commit_round(pi, v, f, t0, t1, t2, rng, l_com) -> tuple[ProverRoundState, RoundMessage1]:
-    # one RNG trip for all three openings; generator calls are not free
+def _commit_round(pi, v, f, t0, t1, t2, openings, l_com) -> tuple[ProverRoundState, RoundMessage1]:
     (C0, o0), (C1, o1), (C2, o2) = commit_batch(
-        [_blob(*vals) for vals in _payloads(pi, t0, t1, t2)], rng, l_com)
+        [_blob(*vals) for vals in _payloads(pi, t0, t1, t2)], openings, l_com)
     state = ProverRoundState(pi, v, f, t0, t1, t2, o0.d, o1.d, o2.d)
     return state, RoundMessage1(C0, C1, C2)
 
@@ -152,7 +167,7 @@ def prover_commit(
     # the smaller part of a round, and BitVec operators cost per call
     if (mat_vec_mul(A, cred.s).bits ^ e).tobytes() != pub.y.bits.tobytes():
         raise ValueError("credential does not open the public input")
-    return _commit_round(*_blind(A, e, rng), rng, l_com)
+    return _commit_round(*_blind(A, e, rng), l_com)
 
 
 def verifier_challenge(rng: np.random.Generator) -> Challenge:
@@ -223,11 +238,11 @@ def cheat_commit(
         e_fake = sample_fixed_weight(m, w, rng)
     else:
         raise ValueError(f"unanswerable must be 0, 1 or 2, got {unanswerable}")
-    pi, v, f, t0, t1, t2 = _blind(pub.A, e_fake.bits, rng)
+    pi, v, f, t0, t1, t2, openings = _blind(pub.A, e_fake.bits, rng)
     if unanswerable == 0:
         # fold y into t0 and swap t1, t2 so the c=1 algebra closes; c=0 is what breaks
         t0, t1, t2 = t0 ^ pub.y, t2, t1
-    return _commit_round(pi, v, f, t0, t1, t2, rng, l_com)
+    return _commit_round(pi, v, f, t0, t1, t2, openings, l_com)
 
 
 def simulate_round(
@@ -239,9 +254,9 @@ def simulate_round(
     """Accepting transcript for a known challenge, built without the credential.
 
     The cheating prover that gives up another challenge (2 for c in {0, 1},
-    1 for c = 2) answers this one; what it opens is distributed exactly as
-    an honest prover's, which is what makes single rounds zero-knowledge
-    against an honest verifier.
+    1 for c = 2) answers this one; what it opens is distributed as an
+    honest prover's, which is what makes single rounds zero-knowledge
+    against an honest verifier (computationally: see the module notes).
     """
     state, msg1 = cheat_commit(pub, pub.w, 1 if challenge.c == 2 else 2, rng, l_com)
     resp = prover_respond(state, challenge)

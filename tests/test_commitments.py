@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from fedzkp.commitments import Commitment, commit, commit_batch, verify_commit
+from fedzkp.commitments import OPENING_BYTES, Commitment, commit, commit_batch, verify_commit
 
 
 def test_matches_direct_shake_oracle():
@@ -22,6 +22,15 @@ def test_commit_is_a_batch_of_one_and_batches_split_freely():
     rng = np.random.default_rng(4)
     singles = [commit(m, rng, l_com=256) for m in msgs]
     assert singles == commit_batch(msgs, np.random.default_rng(4), l_com=256)
+
+
+def test_a_batch_takes_its_openings_drawn_or_as_bytes():
+    msgs = [b"first", b"", b"third" * 40]
+    drawn = np.random.default_rng(5).bytes(3 * OPENING_BYTES)
+    assert commit_batch(msgs, drawn, l_com=256) == commit_batch(
+        msgs, np.random.default_rng(5), l_com=256)
+    with pytest.raises(ValueError, match="openings"):
+        commit_batch(msgs, drawn[:-1], l_com=256)
 
 
 def test_fresh_openings_never_collide():

@@ -1,14 +1,17 @@
 """GF(2) core: every fast path is checked against a slow independent oracle."""
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # the property test below is skipped, the rest still runs
     given = None
 
+from fedzkp import gf2
 from fedzkp.gf2 import (
     BitMatrix,
     BitVec,
@@ -418,38 +421,26 @@ def test_permutation_apply_and_inverse():
     assert pi.inverse().apply(pi.apply(a)) == a
 
 
-def index_width(m):
-    # oracle for ceil(log2 m) by counting doublings; 0 for m <= 1
-    b = 0
-    while (1 << b) < m:
-        b += 1
-    return b
-
-
-def pack_indices(indices, b):
-    """Oracle encoding: each index as b binary digits, MSB-first, zero-padded at the end."""
-    bits = "".join(format(int(i), f"0{b}b") for i in indices) if b else ""
-    bits += "0" * (-len(bits) % 8)
-    return bytes(int(bits[k:k + 8], 2) for k in range(0, len(bits), 8))
-
-
-def unpack_indices(data, m):
-    b = index_width(m)
-    bits = "".join(format(byte, "08b") for byte in data)
-    return [int(bits[i * b:(i + 1) * b], 2) if b else 0 for i in range(m)]
+def seed_oracle(seed, m):
+    """Oracle expansion: the SHAKE-256 stream cut into u32 keys by hand, sorted in Python."""
+    stream = hashlib.shake_256(b"FEDZKP-P1" + m.to_bytes(4, "little") + seed).digest(4 * m)
+    keys = [int.from_bytes(stream[4 * k:4 * k + 4], "little") for k in range(m)]
+    assert len(set(keys)) == m  # a tie would name no permutation
+    return sorted(range(m), key=keys.__getitem__)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 48, 800])
 def test_permutation_inverse_matches_an_argsort_oracle(m):
     rng = np.random.default_rng(203 + m)
-    for pi in (Permutation.random(m, rng), Permutation(rng.permutation(m)),
-               Permutation(np.arange(m)[::-1])):
-        mapping = unpack_indices(pi.to_bytes(), m)
+    seed = rng.bytes(32)
+    assert Permutation.from_bytes(seed, m) == Permutation(seed_oracle(seed, m))
+    for mapping in (seed_oracle(seed, m), rng.permutation(m), np.arange(m)[::-1]):
+        pi = Permutation(mapping)
         inv = pi.inverse()
         assert inv == Permutation(np.argsort(mapping))
-        assert inv.to_bytes() == Permutation(np.argsort(mapping)).to_bytes()
         assert inv is pi.inverse()
         a = BitVec.random(m, rng)
+        assert [pi.apply(a)[int(mapping[i])] for i in range(m)] == a.bits.tolist()
         assert inv.apply(pi.apply(a)) == a and pi.apply(inv.apply(a)) == a
 
 
@@ -470,37 +461,74 @@ def test_permutation_preserves_weight_and_is_linear():
 
 
 def test_permutation_bytes_roundtrip():
-    # m=4, two bits per index: 11 01 00 10
-    pi = Permutation([3, 1, 0, 2])
-    assert pi.to_bytes() == bytes([0b11010010])
-    assert Permutation.from_bytes(pi.to_bytes(), 4) == pi
+    # a permutation's byte form is its 32-byte seed, at every m
     rng = np.random.default_rng(205)
-    for m in (1, 2, 3, 4, 5, 255, 256, 257, 800, 1024, 1025):  # every bit-width edge
-        b = index_width(m)
-        mapping = rng.permutation(m)
-        for pi in (Permutation.random(m, rng), Permutation(mapping),
-                   Permutation(np.arange(m)[::-1])):
-            data = pi.to_bytes()
-            assert len(data) == -(-m * b // 8)
-            back = Permutation.from_bytes(data, m)
-            assert back == pi and back.to_bytes() is data and pi.to_bytes() is data
-        assert Permutation(mapping).to_bytes() == pack_indices(mapping, b)
-    assert len(Permutation.random(800, rng).to_bytes()) == 1000
+    for m in (0, 1, 2, 3, 255, 256, 257, 800, 1025):
+        seed = rng.bytes(32)
+        pi = Permutation.from_bytes(seed, m)
+        assert len(pi) == m and pi.to_bytes() == seed
+        assert Permutation.from_bytes(pi.to_bytes(), m) == pi
+        drawn = Permutation.random(m, rng)
+        assert len(drawn.to_bytes()) == 32
+        assert Permutation.from_bytes(drawn.to_bytes(), m) == drawn
 
 
-@pytest.mark.parametrize("m", [3, 5, 50, 257])  # each encoding ends in padding bits
-def test_permutation_from_bytes_rejects_malformed_input(m):
-    b = index_width(m)
-    good = pack_indices(range(m), b)
-    assert m * b % 8 and Permutation.from_bytes(good, m) == Permutation(range(m))
-    for data, reason in (
-            (good[:-1], "expected"),
-            (good + b"\x00", "expected"),
-            (good[:-1] + bytes([good[-1] | 1]), "padding"),
-            (pack_indices([m] + list(range(1, m)), b), "out of range"),
-            (pack_indices([1] + list(range(1, m)), b), "repeated")):
-        with pytest.raises(ValueError, match=reason):
-            Permutation.from_bytes(data, m)
-    with pytest.raises(ValueError):
-        Permutation.from_bytes(b"\x00", 1)
-    assert Permutation.from_bytes(b"", 1) == Permutation([0])
+# SHAKE-256 of the map, as u32le indices, that bytes(range(32)) names at
+# m=800, frozen once: a change means the seed expansion moved
+PERMUTATION_PIN = "929740c7b44030b8604ad34401d4c3ba"
+
+
+def test_a_seeded_permutation_at_m_800_is_pinned():
+    pi = Permutation.from_bytes(bytes(range(32)), 800)
+    mapping = np.array(seed_oracle(bytes(range(32)), 800), dtype="<u4")
+    assert pi == Permutation(mapping)
+    assert hashlib.shake_256(mapping.tobytes()).hexdigest(16) == PERMUTATION_PIN
+
+
+def test_a_permutation_built_from_a_map_has_no_byte_form():
+    seeded = Permutation.from_bytes(bytes(32), 5)
+    for pi in (Permutation([1, 0, 2]), Permutation(seeded.inverse()._map), seeded.inverse()):
+        with pytest.raises(ValueError, match="byte form"):
+            pi.to_bytes()
+
+
+@pytest.mark.parametrize("m", [3, 5, 50, 257])
+def test_permutation_from_bytes_rejects_malformed_input(m, monkeypatch):
+    seed = bytes(range(32))
+    assert len(Permutation.from_bytes(seed, m)) == m
+    for bad in (seed[:-1], seed + b"\x00", b"", bytes(64)):
+        with pytest.raises(ValueError, match="expected a 32-byte seed"):
+            Permutation.from_bytes(bad, m)
+    # keys that tie name no permutation; distinct ones are sorted
+    tied = np.arange(m, dtype="<u4")
+    tied[-1] = tied[0]
+    monkeypatch.setattr(gf2, "_perm_keys", lambda seed, m: tied)
+    with pytest.raises(ValueError, match="tie"):
+        Permutation.from_bytes(seed, m)
+    monkeypatch.setattr(gf2, "_perm_keys", lambda seed, m: np.arange(m, dtype="<u4")[::-1])
+    assert Permutation.from_bytes(seed, m) == Permutation(np.arange(m)[::-1])
+
+
+def test_a_random_permutation_draws_again_when_the_keys_tie(monkeypatch):
+    expand, seeds = gf2._perm_keys, []
+
+    def first_ties(seed, m):
+        seeds.append(seed)
+        keys = expand(seed, m).copy()
+        if len(seeds) == 1:
+            keys[1] = keys[0]
+        return keys
+
+    monkeypatch.setattr(gf2, "_perm_keys", first_ties)
+    rng = np.random.default_rng(206)
+    pi = Permutation.random(10, np.random.default_rng(206))
+    assert seeds[1:] == [pi.to_bytes()] and seeds == [rng.bytes(32), rng.bytes(32)]
+
+
+def test_a_seeded_permutation_sends_0_anywhere_uniformly():
+    # chi-square of pi(0) over many seeds at m=6: each position about 1/6 of the time
+    m, trials = 6, 6000
+    rng = np.random.default_rng(207)
+    counts = np.bincount([Permutation.from_bytes(rng.bytes(32), m)._map[0]
+                          for _ in range(trials)], minlength=m)
+    assert chisquare(counts).pvalue > 0.01

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedzkp import lpn, protocol
+from fedzkp import gf2, lpn, protocol
 from fedzkp.commitments import Commitment
 from fedzkp.gf2 import BitMatrix, BitVec, mat_vec_mul
 from fedzkp.lpn import Credential, XlpnParams, gen_instance
@@ -63,10 +63,10 @@ ZERO_DIGEST = "A" * 43 + "="  # 32 zero bytes: no aggregate here hashes to it, s
 # verifier always asks for the aggregate
 # SHAKE-256 of both sides' lines of one seeded honest session, frozen once:
 # a change means a prover's or a verifier's bytes moved at a fixed seed
-HONEST_SESSION_PIN = "d210499633c3a18dfb598d0983e373c3"
+HONEST_SESSION_PIN = "8063caf5933ff2045749f561f7a9ab26"
 # the same lines with every binary field spelled in hex, as the wire once
-# carried them: the pin from before base64, so only the spelling moved
-HEX_SESSION_PIN = "05c4f3d1f1651d78adc32554860d8d47"
+# carried them: a pin of the payload bytes alone, whatever spells them
+HEX_SESSION_PIN = "8cf3b56570a89e1dd5ad402bbeeac9cc"
 # every field that carries bytes, in base64
 BINARY_FIELDS = ("digest", "aggregate", "C0", "C1", "C2", "pi", "t0", "t1", "t2",
                  "d0", "d1", "d2")
@@ -119,18 +119,6 @@ def drive(prover, verifier):
         for reply in replies:
             pending.extend(prover.feed(reply))
     return prover, verifier
-
-
-def repack_pi(text, m, edit):
-    """Base64 of a pi encoding with its indices passed through `edit`, packed again."""
-    b = (m - 1).bit_length()
-    raw = unb64(text)
-    pad = len(raw) * 8 - m * b
-    v = int.from_bytes(raw, "big") >> pad
-    v_new = 0
-    for i in edit([(v >> (b * (m - 1 - k))) & ((1 << b) - 1) for k in range(m)]):
-        v_new = (v_new << b) | i
-    return b64((v_new << pad).to_bytes(len(raw), "big"))
 
 
 def open_session(prover, verifier):
@@ -366,11 +354,11 @@ class TestVerifierRejectsBadWire:
         assert out[0]["accepted"] is False
         assert v.done and not v.accepted and v.reason == "round 0 rejected"
 
-    def pi_response(self, params, monkeypatch):
+    def pi_response(self, monkeypatch):
         """A verifier whose next line is the RESPONSE `doc`, which opens pi."""
         monkeypatch.setattr(protocol, "_last_valid", None)
-        rng, pairs, agg, wm = make_world(seed=7, params=params)
-        prover = ProverSession(pairs[0][1], agg, params, 0, d=8, rng=rng, l_com=L_COM)
+        rng, pairs, agg, wm = make_world(seed=7)
+        prover = ProverSession(pairs[0][1], agg, PARAMS, 0, d=8, rng=rng, l_com=L_COM)
         v = VerifierSession(wm.h, ERR_N, d=8, rng=rng, l_com=L_COM)
         (commit,) = prover.feed(open_session(prover, v))
         while True:
@@ -380,30 +368,24 @@ class TestVerifierRejectsBadWire:
                 return v, doc
             (commit,) = prover.feed(v.feed(response)[0])
 
-    def test_an_honest_pi_takes_ceil_log2_m_bits_per_index(self, monkeypatch):
-        v, doc = self.pi_response(PARAMS, monkeypatch)  # m=48: 6 bits, 36 bytes
-        assert len(unb64(doc["pi"])) == 36 and len(doc["pi"]) == 48
+    def test_an_honest_pi_is_its_32_byte_seed(self, monkeypatch):
+        v, doc = self.pi_response(monkeypatch)
+        assert len(unb64(doc["pi"])) == 32 and len(doc["pi"]) == 44
         assert types(v.feed(json.dumps(doc))) == ["ROUND_RESULT"] and not v.done
 
     @pytest.mark.parametrize("case, reason", [
-        ("padding bit", "padding"), ("index >= m", "out of range"),
-        ("repeated index", "repeated"), ("short", "expected 38 bytes"),
-        ("long", "expected 38 bytes")])
+        ("short", "expected a 32-byte seed"), ("long", "expected a 32-byte seed"),
+        ("keys tie", "tie")])
     def test_a_malformed_pi_draws_an_error(self, case, reason, monkeypatch):
-        params = XlpnParams(m=50, l=32, tau=Fraction(1, 4))  # 300 bits of indices, 4 of padding
-        v, doc = self.pi_response(params, monkeypatch)
-        pi, raw = doc["pi"], unb64(doc["pi"])
-        assert len(raw) == 38 and repack_pi(pi, 50, lambda idx: idx) == pi
-        doc["pi"] = {
-            "padding bit": b64(raw[:-1] + bytes([raw[-1] | 1])),
-            "index >= m": repack_pi(pi, 50, lambda idx: [50] + idx[1:]),
-            "repeated index": repack_pi(pi, 50, lambda idx: idx[:1] * 2 + idx[2:]),
-            "short": b64(raw[:-1]),
-            "long": b64(raw + b"\x00"),
-        }[case]
+        v, doc = self.pi_response(monkeypatch)
+        raw = unb64(doc["pi"])
+        doc["pi"] = {"short": b64(raw[:31]), "long": b64(raw + b"\x00"), "keys tie": doc["pi"]}[case]
+        if case == "keys tie":  # the honest seed, read as keys that tie
+            monkeypatch.setattr(gf2, "_perm_keys", lambda seed, m: np.zeros(m, dtype="<u4"))
         out = v.feed(json.dumps(doc))
         assert types(out) == ["ERROR"]
-        assert v.done and not v.accepted and reason in v.reason
+        assert v.done and not v.accepted
+        assert "field 'pi'" in v.reason and reason in v.reason
 
     def test_feeding_a_closed_session(self):
         v = self.fresh()

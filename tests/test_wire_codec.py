@@ -15,9 +15,8 @@ from fedzkp.protocol import ProtocolError, ProverSession, VerifierSession
 from fedzkp.watermark import aggregate, hash_watermark
 
 # m=73 leaves every payload short of a multiple of 3 bytes, so each one ends
-# in padding: the 64-byte pi, 10-byte t, 16-byte C at L_COM=128, 32-byte digest
-# and openings, and the 116-byte aggregate of K=2.  Its 7-bit indices also let
-# pi's spelling hold a '+' or a '/', which 6-bit ones below 62 never do.
+# in padding: the 10-byte t, 16-byte C at L_COM=128, 32-byte pi seed, digest
+# and openings, and the 116-byte aggregate of K=2.
 PARAMS = XlpnParams(m=73, l=32, tau=Fraction(1, 4))
 L_COM = 128
 ERR_N = 8
@@ -146,7 +145,7 @@ def test_a_claims_bytes_are_its_framing_plus_4_ceil_n_over_3_per_field(monkeypat
     assert verifier.accepted and prover.accepted
 
     docs = [json.loads(line) for line in verifier.transcript]
-    sizes = {"digest": 32, "aggregate": 33 + K * (32 + m // 8), "pi": m * 10 // 8,
+    sizes = {"digest": 32, "aggregate": 33 + K * (32 + m // 8), "pi": 32,
              "t0": m // 8, "t1": m // 8, "t2": m // 8, "C0": l_com // 8,
              "C1": l_com // 8, "C2": l_com // 8,
              "d0": OPENING_BYTES, "d1": OPENING_BYTES, "d2": OPENING_BYTES}
@@ -167,6 +166,6 @@ def test_a_claims_bytes_are_its_framing_plus_4_ceil_n_over_3_per_field(monkeypat
                  + (counts[0] + counts[1]) * enc["pi"])
     measured = sum(len(line) + 1 for line in verifier.transcript)
     assert measured == predicted
-    # about 0.61 MB against the 844,175 B the closed form bills a session
+    # about 0.35 MB against the 844,175 B the closed form bills a session
     assert costs.cost_report(K, m, l, d, l_com).communication_bits == 8 * 844_175
-    assert 600_000 < measured < 620_000
+    assert 345_000 < measured < 360_000
