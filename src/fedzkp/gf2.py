@@ -15,7 +15,7 @@ iff every row of H meets it in an even number of bits.
 Serialization convention used by every module downstream: bits pack 8 per
 byte, most significant bit first within each byte.  A permutation's byte
 form is the 32-byte seed it is expanded from (Permutation.from_bytes), so
-the same 32 bytes on the wire and inside a commitment at every m; one
+it takes 32 bytes on the wire and inside a commitment at every m; one
 built from a map has none.  A matrix has no byte form either: a statement
 names its matrix by a seed (lpn).  Length headers, when a format needs
 them, are the caller's job.

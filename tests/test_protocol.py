@@ -373,10 +373,8 @@ class TestVerifierRejectsBadWire:
         assert len(unb64(doc["pi"])) == 32 and len(doc["pi"]) == 44
         assert types(v.feed(json.dumps(doc))) == ["ROUND_RESULT"] and not v.done
 
-    @pytest.mark.parametrize("case, reason", [
-        ("short", "expected a 32-byte seed"), ("long", "expected a 32-byte seed"),
-        ("keys tie", "tie")])
-    def test_a_malformed_pi_draws_an_error(self, case, reason, monkeypatch):
+    @pytest.mark.parametrize("case", ["short", "long", "keys tie"])
+    def test_a_malformed_pi_draws_an_error(self, case, monkeypatch):
         v, doc = self.pi_response(monkeypatch)
         raw = unb64(doc["pi"])
         doc["pi"] = {"short": b64(raw[:31]), "long": b64(raw + b"\x00"), "keys tie": doc["pi"]}[case]
@@ -385,7 +383,8 @@ class TestVerifierRejectsBadWire:
         out = v.feed(json.dumps(doc))
         assert types(out) == ["ERROR"]
         assert v.done and not v.accepted
-        assert "field 'pi'" in v.reason and reason in v.reason
+        assert "field 'pi'" in v.reason
+        assert ("tie" if case == "keys tie" else "expected a 32-byte seed") in v.reason
 
     def test_feeding_a_closed_session(self):
         v = self.fresh()

@@ -8,7 +8,7 @@ from scipy.stats import chi2_contingency
 from fedzkp.bounds import advantage_bound
 from fedzkp.commitments import commit_batch
 from fedzkp.gf2 import BitVec, Permutation, mat_vec_mul, in_image, sample_fixed_weight
-from fedzkp import sigma
+from fedzkp import gf2, sigma
 from fedzkp.lpn import XlpnParams, gen_instance
 from fedzkp.sigma import (
     Challenge,
@@ -52,6 +52,24 @@ def test_prover_state_invariants():
     # blinded error: t1 xor t2 is a permuted copy of e, same weight
     assert (state.t1 ^ state.t2).weight() == cred.e.weight()
     assert in_image(pub.A, state.t0 ^ state.f)
+
+
+def test_a_round_whose_seed_keys_tie_draws_again(monkeypatch):
+    rng = np.random.default_rng(4)
+    pub, cred = gen_instance(SMALL, rng)
+    expand, seeds = gf2._perm_keys, []
+
+    def first_ties(seed, m):
+        seeds.append(seed)
+        keys = expand(seed, m).copy()
+        if len(seeds) == 1:
+            keys[1] = keys[0]
+        return keys
+
+    monkeypatch.setattr(gf2, "_perm_keys", first_ties)
+    state, msg1, resp = honest_round(pub, cred, 0, rng)
+    assert len(seeds) == 2 and state.pi.to_bytes() == seeds[1] != seeds[0]
+    assert verifier_check_round(pub, msg1, Challenge(0), resp)
 
 
 def test_commitments_fresh_per_call():
